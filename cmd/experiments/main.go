@@ -11,7 +11,9 @@
 // are identical at any worker count. With -cachedir (or -resume, which
 // implies a default cache directory) every finished simulation is stored
 // on disk, and an interrupted sweep — even one killed outright — resumes
-// from the completed jobs instead of recomputing them.
+// from the completed jobs instead of recomputing them. A failed experiment
+// prints a FAILED line in place of its table; the remaining experiments
+// still render, and the command then exits with status 1.
 package main
 
 import (
@@ -65,7 +67,10 @@ type benchRecord struct {
 	PeakBatchPages   int      `json:"peak_batch_pages"`
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run drives the sweep and returns the process exit code.
+func run() int {
 	scale := flag.String("scale", "paper", "workload scale: small, paper, or large")
 	out := flag.String("out", "", "also write results to this file")
 	csvDir := flag.String("csvdir", "", "also write one CSV per experiment into this directory")
@@ -74,7 +79,6 @@ func main() {
 	suite := flag.String("suite", "", "comma-separated workload subset for the policy figures (default: the full 11-workload suite)")
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = one per CPU")
 	par := flag.Int("par", 1, "intra-run parallelism: event-engine workers per simulation (execution capped at GOMAXPROCS/-jobs, cache keys keep the requested value; results are byte-identical at any value)")
-	spec := flag.Bool("spec", true, "speculative hub-light epochs in the multi-domain engine (results are byte-identical either way; -spec=false forces conservative horizons)")
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-time limit (e.g. 30m); 0 = none")
 	cacheDir := flag.String("cachedir", "", "on-disk result cache directory (enables resumable sweeps)")
 	resume := flag.Bool("resume", false, "reuse cached results from an earlier (possibly interrupted) sweep; implies -cachedir "+defaultCacheDir+" when unset")
@@ -91,14 +95,14 @@ func main() {
 	stopProf, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopProf()
 
 	p, err := exp.ScaleParams(*scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	ids := flag.Args()
@@ -111,7 +115,7 @@ func main() {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
@@ -126,7 +130,7 @@ func main() {
 		cache, err = harness.OpenCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -137,7 +141,7 @@ func main() {
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	reporter := harness.NewReporter(progress)
@@ -148,7 +152,7 @@ func main() {
 			f, err := os.Create(*progressJSON)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			defer f.Close()
 			reporter.Events = f
@@ -172,9 +176,7 @@ func main() {
 
 	// The shared base (Table 1 defaults + the anti-thrash cycle cap) comes
 	// from exp so sweepd submissions reproduce these grids byte for byte.
-	base := exp.DefaultBase()
-	base.NoSpeculation = !*spec
-	r := exp.NewRunner(p, base)
+	r := exp.NewRunner(p, exp.DefaultBase())
 	r.Pool = pool
 	r.Par = pool.Par()
 	r.Ctx = ctx
@@ -192,7 +194,7 @@ func main() {
 		store, err := trace.OpenArtifactStore(*artifactDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		r.Builds.SetDisk(store)
 	}
@@ -208,23 +210,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: %d workers, cache=%s\n", pool.Workers(), cacheLabel(cache))
 	}
 	start := time.Now()
+	failed := 0
 	for _, id := range ids {
 		t0 := time.Now()
 		table, err := exp.Drive(id, r)
 		if err != nil {
 			if ctx.Err() != nil {
 				fmt.Fprintf(os.Stderr, "interrupted during %s; rerun with -resume to continue\n", id)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			fmt.Fprintf(w, "== %s: FAILED: %v ==\n\n", id, err)
+			failed++
 			continue
 		}
 		table.Fprint(w)
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, table); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if !*quiet {
@@ -238,9 +242,14 @@ func main() {
 	if *benchJSON != "" {
 		if err := writeBench(*benchJSON, *scale, ids, pool, wall); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "%d of %d experiments failed\n", failed, len(ids))
+		return 1
+	}
+	return 0
 }
 
 // startProfiles starts a CPU profile and/or arranges a heap profile, per

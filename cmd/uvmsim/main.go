@@ -43,7 +43,6 @@ func main() {
 	timeline := flag.Bool("timeline", false, "render the batch timeline as ASCII (Figure 2's view)")
 	runahead := flag.Int("runahead", 0, "runahead fault-generation depth (0 = off)")
 	par := flag.Int("par", 1, "event-engine workers sharding SM clusters across cores (results are byte-identical at any value; ignored with -exectrace)")
-	spec := flag.Bool("spec", true, "speculative hub-light epochs in the multi-domain engine (byte-identical either way; -spec=false forces conservative horizons)")
 	traceOut := flag.String("traceout", "", "write the workload's access trace to this file and exit")
 	traceIn := flag.String("tracein", "", "simulate a trace file (written by -traceout) instead of building -workload")
 	execTrace := flag.String("trace", "", "write a Chrome trace-event JSON execution trace (Perfetto-loadable) to this file")
@@ -64,7 +63,6 @@ func main() {
 
 	cfg := config.Default()
 	cfg.Policy = pol
-	cfg.NoSpeculation = !*spec
 	cfg.UVM.OversubscriptionRatio = *ratio
 	cfg.UVM.FaultHandlingUS = *handling
 	cfg.Preload = *preload

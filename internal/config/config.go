@@ -219,21 +219,6 @@ type Config struct {
 	// context-switches on any full stall (not just page-fault stalls),
 	// reproducing Figure 5's "context switching in traditional GPUs".
 	TraditionalSwitch bool
-	// FixedEpochs disables the multi-domain engine's adaptive epoch
-	// widening (sim.System.SetAdaptive), pinning every epoch to the
-	// classic next+lookahead-1 horizon. The engine's explicit (cycle,
-	// source, sequence) event keys make dispatch order independent of
-	// epoch placement, so both modes produce byte-identical results; the
-	// switch only trades barrier count for horizon bookkeeping. Debugging
-	// escape hatch; default false (adaptive on).
-	FixedEpochs bool
-	// NoSpeculation disables the multi-domain engine's hub-light
-	// speculative epochs (sim.System.SetSpeculative): with it set, SM
-	// shards never run past the conservative lookahead horizon while the
-	// hub is quiet. Like FixedEpochs this cannot change results — only
-	// the barrier count — and exists as a debugging/verification knob;
-	// default false (speculation on).
-	NoSpeculation bool
 }
 
 // Default returns the Table 1 configuration with the Baseline policy.

@@ -52,13 +52,11 @@ func NewMachine(cfg config.Config, w *trace.Workload) (*Machine, error) {
 		return nil, fmt.Errorf("core: workload %q has no kernels", w.Name)
 	}
 	sys := sim.NewSystem(cfg.DomainCount()+1, cfg.Lookahead())
-	sys.SetAdaptive(!cfg.FixedEpochs)
 	// The GPU model is a star: every cross-domain message flows between an
 	// SM shard and the hub (runtime, walker, L2) — gpu.New asserts this.
 	// Declaring the hub pins it into worker group 0 with shard 0 (the
 	// busiest edge fuses) and arms hub-light speculative epochs.
 	sys.SetHub(cfg.DomainCount())
-	sys.SetSpeculative(!cfg.NoSpeculation)
 	m := &Machine{
 		Sys:      sys,
 		Eng:      sys.Engine(cfg.DomainCount()), // hub is the last domain

@@ -35,10 +35,12 @@ func summaryJSON(t *testing.T, s *metrics.Stats) string {
 // TestParallelismByteIdentity is the tentpole's correctness contract: for
 // every workload, metrics.Summary is byte-identical between sequential
 // execution (par=1) and multi-worker execution — and across every
-// delivery path the engine owns: speculative hub-light epochs on or off,
-// fused same-group inserts on or off. Explicit event keys fix the total
-// order (cycle, source domain, send sequence) at send time, so any
-// divergence between legs is a domain-isolation or delivery bug.
+// delivery path the engine owns: fused same-group inserts (par=1),
+// mailboxes (par>=2), and speculative hub-light epochs, which the
+// no-hub legs turn off to run the conservative schedule alone. Explicit
+// event keys fix the total order (cycle, source domain, send sequence) at
+// send time, so any divergence between legs is a domain-isolation or
+// delivery bug.
 func TestParallelismByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations in -short mode")
@@ -64,41 +66,35 @@ func TestParallelismByteIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("%s@%g", v.name, v.ratio), func(t *testing.T) {
 			t.Parallel()
 			legs := []struct {
-				name    string
-				par     int
-				noSpec  bool
-				unfused bool
+				name  string
+				par   int
+				noHub bool
 			}{
-				{"par1", 1, false, false},
-				{"par2", 2, false, false},
-				{"par4", 4, false, false},
-				{"par8", 8, false, false},
-				{"par1-nospec", 1, true, false},
-				{"par4-nospec", 4, true, false},
-				{"par4-unfused", 4, false, true},
+				{"par1", 1, false},
+				{"par2", 2, false},
+				{"par4", 4, false},
+				{"par8", 8, false},
+				{"par1-nohub", 1, true},
+				{"par4-nohub", 4, true},
 			}
 			var ref string
 			for _, l := range legs {
 				cfg := config.Default()
 				cfg.MaxCycles = 2_000_000_000
 				cfg.UVM.OversubscriptionRatio = v.ratio
-				cfg.NoSpeculation = l.noSpec
 				w, err := workload.Build(v.name, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var stats *metrics.Stats
-				if l.unfused {
-					m, merr := NewMachine(cfg, w)
-					if merr != nil {
-						t.Fatal(merr)
-					}
-					m.Sys.SetFused(false)
-					m.SetParallelism(l.par)
-					stats, err = m.Run()
-				} else {
-					stats, err = RunParallel(cfg, w, l.par)
+				m, err := NewMachine(cfg, w)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if l.noHub {
+					m.Sys.SetHub(-1)
+				}
+				m.SetParallelism(l.par)
+				stats, err := m.Run()
 				if err != nil {
 					t.Fatalf("%s: %v", l.name, err)
 				}
@@ -115,77 +111,30 @@ func TestParallelismByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFixedEpochsByteIdentity covers the adaptive-widening escape hatch:
-// with Config.FixedEpochs the machine pins every epoch to the classic
-// lookahead horizon. Since explicit event keys fixed the tie order at
-// send time, fixed and adaptive epochs are one result universe — the
-// fixed-epoch runs must reproduce the adaptive reference byte for byte,
-// at every worker count.
-func TestFixedEpochsByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full simulations in -short mode")
-	}
-	p := parParams()
-	var ref string
-	for i, leg := range []struct {
-		fixed bool
-		par   int
-	}{{false, 1}, {true, 1}, {true, 4}} {
-		cfg := config.Default()
-		cfg.MaxCycles = 2_000_000_000
-		cfg.FixedEpochs = leg.fixed
-		w, err := workload.Build("BFS-TTC", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := RunParallel(cfg, w, leg.par)
-		if err != nil {
-			t.Fatalf("fixed=%v par=%d: %v", leg.fixed, leg.par, err)
-		}
-		got := summaryJSON(t, stats)
-		if i == 0 {
-			ref = got
-			continue
-		}
-		if got != ref {
-			t.Errorf("fixed=%v par=%d summary diverged from the adaptive par=1 reference\nref: %s\ngot: %s",
-				leg.fixed, leg.par, ref, got)
-		}
-	}
-}
-
-// TestAdaptiveEpochsReduceBarriers pins the point of adaptive widening:
-// on a real faulting workload the adaptive schedule must cross strictly
-// fewer epoch barriers than the fixed-lookahead schedule (measured ~46%
-// fewer on BFS at Table-1 scale), while simulating the same span. This is
-// the tentpole regression guard for epoch overhead: if a change quietly
-// degrades the horizon rules back to one-lookahead steps, the counts
-// converge and this fails.
+// TestAdaptiveEpochsReduceBarriers pins the point of adaptive widening
+// and speculation: on a real faulting workload the schedule must stay at
+// or under 560 epoch barriers while dispatching exactly the 981 events of
+// the simulation. The deleted fixed-lookahead schedule took 736 epochs on
+// this same run. This is the regression guard for epoch overhead: if a
+// change quietly degrades the horizon rules back to one-lookahead steps,
+// the barrier count climbs past the bound and this fails.
 func TestAdaptiveEpochsReduceBarriers(t *testing.T) {
-	run := func(fixed bool) (epochs, dispatched uint64) {
-		cfg := testConfig(config.Baseline)
-		cfg.GPU.SMsPerDomain = 1 // 4 shard domains on the 4-SM test config
-		cfg.FixedEpochs = fixed
-		m, err := NewMachine(cfg, scanWorkload(64, 8, 64, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return m.Sys.Epochs(), m.Sys.Dispatched()
+	cfg := testConfig(config.Baseline)
+	cfg.GPU.SMsPerDomain = 1 // 4 shard domains on the 4-SM test config
+	m, err := NewMachine(cfg, scanWorkload(64, 8, 64, 4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fixedEpochs, fixedDispatched := run(true)
-	adaptiveEpochs, adaptiveDispatched := run(false)
-	if adaptiveEpochs >= fixedEpochs {
-		t.Errorf("adaptive epochs = %d, fixed = %d: widening bought nothing", adaptiveEpochs, fixedEpochs)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
-	// Both modes execute the same simulation work: barrier placement moves,
-	// but the explicit-key total order — and with it every dispatched event
-	// — is identical.
-	if adaptiveDispatched != fixedDispatched {
-		t.Errorf("dispatched: adaptive=%d fixed=%d, want identical (one result universe)",
-			adaptiveDispatched, fixedDispatched)
+	if e := m.Sys.Epochs(); e > 560 {
+		t.Errorf("epochs = %d, want <= 560: widening lost ground", e)
+	}
+	// Barrier placement never changes the work: the explicit-key total
+	// order fixes every dispatched event.
+	if d := m.Sys.Dispatched(); d != 981 {
+		t.Errorf("dispatched = %d, want 981", d)
 	}
 }
 

@@ -189,7 +189,7 @@ func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageT
 	// only to shards (launches, page arrivals, invalidations, translation
 	// answers). If the machine declared a hub for speculative epochs it
 	// must be this one — shard-to-shard traffic under a wrong declaration
-	// would be an unrecoverable speculation violation.
+	// would make the speculation commit barrier panic.
 	if h := sys.Hub(); h >= 0 && h != nd {
 		panic(fmt.Sprintf("gpu: system hub is domain %d, cluster hub is %d", h, nd))
 	}

@@ -362,11 +362,11 @@ func TestPoolParBudgetSplit(t *testing.T) {
 		jobs, par int
 		wantPar   int
 	}{
-		{1, 0, 1},                   // unset: sequential
-		{1, maxprocs, maxprocs},     // exactly the budget
+		{1, 0, 1},                       // unset: sequential
+		{1, maxprocs, maxprocs},         // exactly the budget
 		{1, maxprocs * 4, maxprocs * 4}, // oversubscribed: request kept, cap absorbs it
-		{maxprocs, 8, 8},            // pool already saturates: cap floors at 1
-		{maxprocs * 2, 2, 2},        // even an oversubscribed pool keeps cap >= 1
+		{maxprocs, 8, 8},                // pool already saturates: cap floors at 1
+		{maxprocs * 2, 2, 2},            // even an oversubscribed pool keeps cap >= 1
 	}
 	for _, tc := range cases {
 		if tc.jobs < 1 {

@@ -136,7 +136,7 @@ func TestDuplicatePointSubmissionTerminates(t *testing.T) {
 // restored from their manifests and answer status, results, and figure
 // requests byte-for-byte identically to the pre-restart daemon.
 func TestRestartServesPersistedGrids(t *testing.T) {
-	dir := t.TempDir()
+	dir := storeDir(t)
 	e1 := startDir(t, dir, nil)
 	fig := e1.submit(t, `{"preset":"fig03","scale":"small","vertices":65536,"avg_degree":6}`)
 	runs := e1.submit(t, tinyBody())
@@ -188,7 +188,7 @@ func TestRestartServesPersistedGrids(t *testing.T) {
 // same store, re-enqueues the unfinished remainder, and completes the
 // grid under its original ID.
 func TestRestartResumesUnfinishedGrid(t *testing.T) {
-	dir := t.TempDir()
+	dir := storeDir(t)
 	g := newGate(true)
 	e1 := startDir(t, dir, func(o *server.Options) {
 		o.WrapExec = g.wrap

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,7 +53,24 @@ type env struct {
 // ends. Extra configuration is applied to the options before New.
 func start(t *testing.T, mutate func(*server.Options)) *env {
 	t.Helper()
-	return startDir(t, t.TempDir(), mutate)
+	return startDir(t, storeDir(t), mutate)
+}
+
+// storeDir returns a fresh store directory for a daemon, removed with
+// retries, not by t.TempDir: the daemon rewrites a grid's manifest just
+// after publishing its terminal event, racing the removal.
+func storeDir(t *testing.T) string {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "server-test-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for i := 0; os.RemoveAll(dir) != nil && i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	return dir
 }
 
 // startDir is start over a caller-owned store directory, so restart
@@ -368,7 +386,7 @@ func TestBackpressure(t *testing.T) {
 
 func mustCache(t *testing.T) *harness.Cache {
 	t.Helper()
-	c, err := harness.OpenCache(t.TempDir())
+	c, err := harness.OpenCache(storeDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,39 +189,6 @@ func (e *Engine) Reset(watermark int) {
 	e.nEvent = 0
 }
 
-// engineSnapshot is a restorable event watermark: clock, counters, and a
-// copy of the pending queue. Speculative epochs capture one per
-// speculating domain so a detected violation can rewind the domain to the
-// epoch boundary and re-execute (see System.validateSpec).
-type engineSnapshot struct {
-	now     Cycle
-	seq     uint64
-	lastKey uint64
-	nEvent  uint64
-	queue   []event
-}
-
-// snapshot copies the engine's state into snap, reusing snap's queue
-// buffer across epochs.
-func (e *Engine) snapshot(snap *engineSnapshot) {
-	snap.now, snap.seq, snap.lastKey, snap.nEvent = e.now, e.seq, e.lastKey, e.nEvent
-	snap.queue = append(snap.queue[:0], e.queue...)
-}
-
-// restore rewinds the engine to a snapshot taken on it. Events scheduled
-// since the snapshot vanish; slots beyond the restored length are zeroed
-// so abandoned closures do not pin memory.
-func (e *Engine) restore(snap *engineSnapshot) {
-	prev := len(e.queue)
-	e.queue = append(e.queue[:0], snap.queue...)
-	if full := e.queue[:cap(e.queue)]; prev > len(e.queue) && prev <= cap(e.queue) {
-		for i := len(e.queue); i < prev; i++ {
-			full[i] = event{}
-		}
-	}
-	e.now, e.seq, e.lastKey, e.nEvent = snap.now, snap.seq, snap.lastKey, snap.nEvent
-}
-
 // siftUp restores the heap property from leaf i toward the root.
 func (e *Engine) siftUp(i int) {
 	q := e.queue

@@ -271,7 +271,7 @@ func TestEngineResetReleasesPastWatermark(t *testing.T) {
 	}
 	e.Run()
 	for i := 0; i < 1000; i++ {
-		e.Schedule(Cycle(1000 + i), func() {})
+		e.Schedule(Cycle(1000+i), func() {})
 	}
 	if cap(e.queue) < 1000 {
 		t.Fatalf("queue capacity = %d, expected growth past 1000", cap(e.queue))

@@ -8,18 +8,18 @@ import (
 
 // synthStarRun drives a synthetic star-topology cascade — every
 // cross-domain message flows spoke<->hub, the contract the GPU model
-// honors — and returns a full dispatch trace plus the speculation
-// counters. Same construction discipline as synthRun: domain-owned logs,
-// deterministic PRNG fan-out, a per-domain step cap whose growth follows
-// the canonical dispatch order.
-func synthStarRun(workers int, spec, fused bool) (trace string, specEpochs, specViolations uint64) {
+// honors — and returns a full dispatch trace plus the speculative epoch
+// count. With hub false no hub is declared: the conservative reference.
+// Same construction discipline as synthRun: domain-owned logs,
+// deterministic PRNG fan-out, a per-domain step cap.
+func synthStarRun(workers int, hub bool) (trace string, specEpochs uint64) {
 	const domains, lookahead = 6, 7
-	const hub = domains - 1
+	const hubDomain = domains - 1
 	const maxStepsPerDomain = 1200
 	s := NewSystem(domains, lookahead)
-	s.SetHub(hub)
-	s.SetSpeculative(spec)
-	s.SetFused(fused)
+	if hub {
+		s.SetHub(hubDomain)
+	}
 	s.SetWorkers(workers)
 	defer s.Stop()
 	logs := make([][]string, domains) // domain-owned: no cross-domain writes
@@ -34,8 +34,8 @@ func synthStarRun(workers int, spec, fused bool) (trace string, specEpochs, spec
 		}
 		r := NewRand(state)
 		for i := 0; i < 1+int(state%3); i++ {
-			dst := hub
-			if d == hub {
+			dst := hubDomain
+			if d == hubDomain {
 				dst = r.Intn(domains - 1)
 			}
 			delay := Cycle(lookahead + r.Intn(20))
@@ -57,37 +57,34 @@ func synthStarRun(workers int, spec, fused bool) (trace string, specEpochs, spec
 			b.WriteByte('\n')
 		}
 	}
-	return b.String(), s.SpecEpochs(), s.SpecViolations()
+	return b.String(), s.SpecEpochs()
 }
 
 // TestSystemStarSpeculationByteIdentity pins the speculation contract on
-// a star-honoring workload: hub-light epochs must engage (SpecEpochs > 0),
-// must never trip the commit barrier (SpecViolations == 0 — the
-// conservatism proof in RunUntil says violations cannot occur when all
-// traffic flows spoke<->hub), and must leave the dispatch trace
-// byte-identical to the conservative schedule at every worker count and
-// with fusion on or off.
+// a star-honoring workload: with the hub declared, hub-light epochs must
+// engage (SpecEpochs > 0), must never trip the commit barrier (a
+// violation panics — the conservatism proof in RunUntil says none can
+// occur when all traffic flows spoke<->hub), and must leave the dispatch
+// trace byte-identical to the conservative no-hub schedule at every
+// worker count.
 func TestSystemStarSpeculationByteIdentity(t *testing.T) {
-	ref, _, _ := synthStarRun(1, false, true)
+	ref, _ := synthStarRun(1, false)
 	if len(ref) < 100 {
 		t.Fatalf("synthetic star cascade too small to be meaningful:\n%s", ref)
 	}
 	sawSpec := false
-	for _, spec := range []bool{false, true} {
-		for _, fused := range []bool{true, false} {
-			for _, w := range []int{1, 2, 4, 8} {
-				got, se, sv := synthStarRun(w, spec, fused)
-				if got != ref {
-					t.Errorf("spec=%v fused=%v workers=%d diverged from conservative reference\nreference:\n%.300s\ngot:\n%.300s",
-						spec, fused, w, ref, got)
-				}
-				if sv != 0 {
-					t.Errorf("spec=%v fused=%v workers=%d: %d violations on a star-honoring workload",
-						spec, fused, w, sv)
-				}
-				if spec && se > 0 {
-					sawSpec = true
-				}
+	for _, hub := range []bool{false, true} {
+		for _, w := range []int{1, 2, 4, 8} {
+			got, se := synthStarRun(w, hub)
+			if got != ref {
+				t.Errorf("hub=%v workers=%d diverged from conservative reference\nreference:\n%.300s\ngot:\n%.300s",
+					hub, w, ref, got)
+			}
+			if !hub && se != 0 {
+				t.Errorf("workers=%d: %d speculative epochs with no hub declared", w, se)
+			}
+			if hub && se > 0 {
+				sawSpec = true
 			}
 		}
 	}
@@ -96,35 +93,23 @@ func TestSystemStarSpeculationByteIdentity(t *testing.T) {
 	}
 }
 
-// truncCheckpointer is a minimal model checkpoint: the model state is an
-// append-only log per domain, Checkpoint marks the length, Restore
-// truncates back to the mark.
-type truncCheckpointer struct {
-	logs  [][]string
-	marks []int
-}
-
-func (c *truncCheckpointer) Checkpoint(d int) { c.marks[d] = len(c.logs[d]) }
-func (c *truncCheckpointer) Restore(d int)    { c.logs[d] = c.logs[d][:c.marks[d]] }
-
 // violationRun sets up the adversarial case: domain 1 burns a dense local
-// chain (speculation fuel — it runs deep past the conservative horizon
-// while the hub is silent), and domain 0 fires one shard-to-shard send
-// landing at cycle 10, inside the window domain 1 will have speculated
-// through. That send breaks the declared star topology, so the commit
-// barrier must detect it and roll domain 1 back.
-func violationRun(spec bool, workers int) (log string, specEpochs, specViolations uint64) {
+// chain (speculation fuel — with a hub declared it runs deep past the
+// conservative horizon while the hub is silent), and domain 0 fires one
+// shard-to-shard send landing at cycle 10, inside the window domain 1
+// will have speculated through. It returns domain 1's log.
+func violationRun(hub bool, workers int) string {
 	const lookahead = 10
 	s := NewSystem(3, lookahead)
-	s.SetHub(2)
-	s.SetSpeculative(spec)
+	if hub {
+		s.SetHub(2)
+	}
 	s.SetWorkers(workers)
 	defer s.Stop()
-	ck := &truncCheckpointer{logs: make([][]string, 3), marks: make([]int, 3)}
-	s.SetCheckpointer(ck)
+	var log []string // domain 1's
 	var chain func(c Cycle)
 	chain = func(c Cycle) {
-		ck.logs[1] = append(ck.logs[1], fmt.Sprintf("chain@%d", s.Engine(1).Now()))
+		log = append(log, fmt.Sprintf("chain@%d", s.Engine(1).Now()))
 		if c < 30 {
 			s.Engine(1).Schedule(c+1, func() { chain(c + 1) })
 		}
@@ -132,121 +117,50 @@ func violationRun(spec bool, workers int) (log string, specEpochs, specViolation
 	s.Engine(1).Schedule(0, func() { chain(0) })
 	s.Engine(0).Schedule(0, func() {
 		s.Send(0, 1, lookahead, func() {
-			ck.logs[1] = append(ck.logs[1], fmt.Sprintf("recv@%d", s.Engine(1).Now()))
+			log = append(log, fmt.Sprintf("recv@%d", s.Engine(1).Now()))
 		})
 	})
 	s.RunUntil(100)
-	return strings.Join(ck.logs[1], "\n"), s.SpecEpochs(), s.SpecViolations()
+	return strings.Join(log, "\n")
 }
 
-// TestSystemSpeculationViolationRollback is the rollback correctness
-// contract: a speculation violation must rewind the violated domain to
-// the epoch boundary (engine and model state), retract its unsent mail,
-// and re-execute — producing exactly the log the conservative schedule
-// produces, with the late message interleaved at its canonical position
-// (cycle 10, before domain 1's own same-cycle event: lower source rank).
-func TestSystemSpeculationViolationRollback(t *testing.T) {
-	ref, _, _ := violationRun(false, 1)
-	if !strings.Contains(ref, "chain@9\nrecv@10\nchain@10") {
-		t.Fatalf("conservative reference lost the canonical interleaving:\n%s", ref)
-	}
+// TestSystemSpeculationViolationPanics: shard-to-shard traffic breaks the
+// declared star topology, and speculation has no rollback — the system
+// must fail loudly, not deliver a message into an already-executed
+// window. The same model with no hub declared runs conservatively and
+// interleaves the late message at its canonical position (cycle 10,
+// before domain 1's own same-cycle event: lower source rank).
+func TestSystemSpeculationViolationPanics(t *testing.T) {
 	for _, w := range []int{1, 2} {
-		got, se, sv := violationRun(true, w)
-		if se == 0 {
-			t.Errorf("workers=%d: speculation never engaged", w)
+		if got := violationRun(false, w); !strings.Contains(got, "chain@9\nrecv@10\nchain@10") {
+			t.Errorf("workers=%d: conservative schedule lost the canonical interleaving:\n%s", w, got)
 		}
-		if sv == 0 {
-			t.Errorf("workers=%d: shard-to-shard send did not trip a violation", w)
-		}
-		if got != ref {
-			t.Errorf("workers=%d: rollback re-execution diverged from conservative schedule\nwant:\n%s\ngot:\n%s",
-				w, ref, got)
-		}
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "speculation violation") {
+					t.Errorf("workers=%d: want a speculation-violation panic, got %v", w, r)
+				}
+			}()
+			violationRun(true, w)
+		}()
 	}
-}
-
-// TestSystemSpeculationViolationNoCheckpointerPanics: a violation that
-// cannot be rolled back (no Checkpointer attached) means the model broke
-// its declared star topology — the system must fail loudly, not deliver
-// a message into an already-executed window.
-func TestSystemSpeculationViolationNoCheckpointerPanics(t *testing.T) {
-	const lookahead = 10
-	s := NewSystem(3, lookahead)
-	s.SetHub(2)
-	defer s.Stop()
-	var chain func(c Cycle)
-	chain = func(c Cycle) {
-		if c < 30 {
-			s.Engine(1).Schedule(c+1, func() { chain(c + 1) })
-		}
-	}
-	s.Engine(1).Schedule(0, func() { chain(0) })
-	s.Engine(0).Schedule(0, func() { s.Send(0, 1, lookahead, func() {}) })
-	defer func() {
-		if recover() == nil {
-			t.Error("speculation violation with no Checkpointer did not panic")
-		}
-	}()
-	s.RunUntil(100)
 }
 
 // TestSystemSpeculationStress is the CI -race workout for the speculative
-// path: tight lookahead, boundary-tight spoke<->hub traffic, snapshots
-// taken every speculative epoch, at 8 workers — with dispatch totals
-// pinned against conservative inline execution. Any race between
-// speculation bookkeeping, fused inserts, and the commit barrier
+// path: the stress cascade on a star, with the commit barrier validating
+// every speculative epoch, at 2 and 8 workers — dispatch totals pinned
+// against conservative inline execution (no hub declared). Any race
+// between speculation bookkeeping, fused inserts, and the commit barrier
 // surfaces here.
 func TestSystemSpeculationStress(t *testing.T) {
-	run := func(workers int, spec bool) (dispatched uint64, now Cycle, violations, steps uint64) {
-		const domains, lookahead = 9, 4
-		const hub = domains - 1
-		s := NewSystem(domains, lookahead)
-		s.SetHub(hub)
-		s.SetSpeculative(spec)
-		s.SetWorkers(workers)
-		defer s.Stop()
-		counts := make([]uint64, domains) // domain-owned
-		var step func(d int, state uint64)
-		step = func(d int, state uint64) {
-			counts[d]++
-			if counts[d] >= 4000 {
-				return
-			}
-			r := NewRand(state)
-			for i := 0; i < 1+int(state%2); i++ {
-				dst := hub
-				if d == hub {
-					dst = r.Intn(domains - 1)
-				}
-				delay := Cycle(lookahead + r.Intn(3)) // mostly boundary-tight sends
-				next := state*6364136223846793005 + uint64(i) + 1442695040888963407
-				s.SendArg(d, dst, s.Engine(d).Now()+delay, func(v uint64) { step(dst, v) }, next)
-			}
-		}
-		for d := 0; d < domains-1; d++ {
-			d := d
-			seed := uint64(3*d + 1)
-			s.Engine(d).Schedule(Cycle(d%3), func() { step(d, seed) })
-		}
-		s.RunUntil(30000)
-		var total uint64
-		for _, c := range counts {
-			total += c
-		}
-		return s.Dispatched(), s.Now(), s.SpecViolations(), total
-	}
-	refDispatched, refNow, _, refSteps := run(1, false)
+	refDispatched, refNow := stressRun(1, true, false)
 	if refDispatched == 0 {
 		t.Fatal("reference run dispatched nothing")
 	}
 	for _, w := range []int{2, 8} {
-		d, now, sv, steps := run(w, true)
-		if sv != 0 {
-			t.Errorf("workers=%d: %d violations on a star-honoring stress workload", w, sv)
-		}
-		if d != refDispatched || now != refNow || steps != refSteps {
-			t.Errorf("workers=%d speculative run diverged: dispatched=%d now=%d steps=%d, want %d/%d/%d",
-				w, d, now, steps, refDispatched, refNow, refSteps)
+		if d, now := stressRun(w, true, true); d != refDispatched || now != refNow {
+			t.Errorf("workers=%d speculative run diverged: dispatched=%d now=%d, want %d/%d",
+				w, d, now, refDispatched, refNow)
 		}
 	}
 }

@@ -18,12 +18,11 @@ import (
 // key). Because the key is assigned at *send* time, not at insertion time,
 // the dispatch order is a pure function of the per-domain event streams:
 // it does not matter whether a message reaches the destination heap
-// directly (fused same-group insertion), at an epoch barrier (mailbox
-// flush), or after a speculation rollback. Results are therefore
-// byte-identical at any worker count, under fixed or adaptive epochs, and
-// with speculation on or off.
+// directly (fused same-group insertion) or at an epoch barrier (mailbox
+// flush), nor how wide each epoch was. Results are therefore
+// byte-identical at any worker count.
 //
-// Three delivery paths exist, fastest first:
+// Two delivery paths exist, fastest first:
 //
 //   - Fused: src and dst belong to the same static worker group (see
 //     SetWorkers; the hub domain is pinned with its first shard, its
@@ -34,17 +33,17 @@ import (
 //   - Mailbox: cross-group sends append to per-edge chunks and are
 //     drained at the barrier straight into the destination heap — no
 //     sorting or merging, the keys already encode the canonical order.
-//   - Speculative: with a declared hub (SetHub), shard domains may run
-//     past the conservative horizon while the hub is quiet, under a
-//     commit barrier that validates no late message landed inside the
-//     executed window (see validateSpec).
 //
-// Epoch widths are adaptive by default (see SetAdaptive): the earliest
-// domain may run past the `lookahead` horizon up to the second-earliest
-// domain's lookahead bound, and a domain that is alone in having pending
-// events runs until its own outgoing sends could first provoke a reply.
-// All widening rules are conservative — no domain ever executes an event
-// a not-yet-delivered message could precede.
+// Epoch widths are adaptive: the earliest domain may run past the
+// `lookahead` horizon up to the second-earliest domain's lookahead bound,
+// and a domain that is alone in having pending events runs until its own
+// outgoing sends could first provoke a reply. These widening rules are
+// conservative — no domain ever executes an event a not-yet-delivered
+// message could precede. With a declared hub (SetHub), shard domains also
+// run past the conservative horizon while the hub is quiet; that
+// speculation relies on the model's star-topology promise, and a commit
+// barrier panics if a late message lands inside an executed window (see
+// validateSpec). A system with no hub runs the conservative rules alone.
 //
 // The contract components must follow:
 //
@@ -60,7 +59,6 @@ import (
 // receiver share a goroutine.
 type System struct {
 	lookahead Cycle
-	adaptive  bool
 	engines   []*Engine
 
 	// Fused-group state. group[d] is the static worker group owning
@@ -70,22 +68,16 @@ type System struct {
 	// non-hub domain (its hottest edge), remaining domains round-robin.
 	group   []int32
 	nGroups int
-	fused   bool
 
 	// Speculation state. hub is the declared star-topology center (-1:
 	// none): every cross-domain message flows shard<->hub, which is what
-	// makes hub-light widening provably conservative. specOn marks the
-	// domains whose horizon was raised past the conservative bound this
-	// epoch; their traffic is forced through (retractable) mailboxes.
-	hub     int32
-	spec    bool
-	specOn  []bool
-	specAny bool
-	ckpt    Checkpointer
-	snaps   []engineSnapshot
-
-	specEpochs     uint64
-	specViolations uint64
+	// makes hub-light widening safe. specOn marks the domains whose
+	// horizon was raised past the conservative bound this epoch; their
+	// traffic is forced through mailboxes so the commit barrier sees it.
+	hub        int32
+	specOn     []bool
+	specAny    bool
+	specEpochs uint64
 
 	// Mailboxes are per-edge chunks: boxes[src*n+dst] is appended in src
 	// execution order, and outDirty[src] lists the destinations src has
@@ -122,17 +114,6 @@ type System struct {
 	epochs uint64 // barriers executed; the overhead diagnostic
 
 	pool pool
-}
-
-// Checkpointer lets a model participate in speculative re-execution: the
-// system calls Checkpoint(d) before domain d runs a speculative epoch and
-// Restore(d) when a violation forces d back to that boundary. Models whose
-// topology honors the declared star (every message flows shard<->hub)
-// never see either call fail to matter — violations cannot occur — and
-// may skip attaching one; a violation with no Checkpointer panics.
-type Checkpointer interface {
-	Checkpoint(domain int)
-	Restore(domain int)
 }
 
 // Worker-pool lifecycle states. The pool starts lazily at the first
@@ -176,9 +157,8 @@ const MinLookahead = 4
 
 const maxCycle = ^Cycle(0)
 
-// NewSystem builds a system of n domains with the given lookahead.
-// Adaptive epoch widening, fused groups, and (once a hub is declared via
-// SetHub) speculative hub-light epochs all start enabled.
+// NewSystem builds a system of n domains with the given lookahead. Declare
+// a hub with SetHub to arm speculative hub-light epochs.
 func NewSystem(n int, lookahead Cycle) *System {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: system needs at least one domain, got %d", n))
@@ -186,7 +166,7 @@ func NewSystem(n int, lookahead Cycle) *System {
 	if lookahead < 1 {
 		panic(fmt.Sprintf("sim: lookahead %d < 1", lookahead))
 	}
-	s := &System{lookahead: lookahead, adaptive: true, fused: true, spec: true, hub: -1, workers: 1, bounded: -1}
+	s := &System{lookahead: lookahead, hub: -1, workers: 1, bounded: -1}
 	s.engines = make([]*Engine, n)
 	s.boxes = make([][]msg, n*n)
 	s.outDirty = make([][]int32, n)
@@ -195,7 +175,6 @@ func NewSystem(n int, lookahead Cycle) *System {
 	s.epochHi = make([]Cycle, n)
 	s.group = make([]int32, n)
 	s.specOn = make([]bool, n)
-	s.snaps = make([]engineSnapshot, n)
 	for i := range s.engines {
 		s.engines[i] = NewEngine()
 		s.engines[i].SetRank(i)
@@ -216,30 +195,13 @@ func (s *System) Domains() int { return len(s.engines) }
 // epoch width; adaptive epochs may be wider).
 func (s *System) Lookahead() Cycle { return s.lookahead }
 
-// SetAdaptive enables or disables adaptive epoch widening. Both modes are
-// conservative, and — because dispatch order is fixed by explicit event
-// keys, not by epoch placement — byte-identical to each other and across
-// worker counts. The switch only trades barrier count for horizon
-// bookkeeping. Call before running.
-func (s *System) SetAdaptive(on bool) { s.adaptive = on }
-
-// Adaptive reports whether adaptive epoch widening is enabled.
-func (s *System) Adaptive() bool { return s.adaptive }
-
-// SetFused enables or disables the fused same-group direct-insertion fast
-// path. Results are identical either way; disabling is an escape hatch for
-// diagnosing the delivery machinery itself. Call before running.
-func (s *System) SetFused(on bool) { s.fused = on }
-
-// Fused reports whether fused same-group delivery is enabled.
-func (s *System) Fused() bool { return s.fused }
-
 // SetHub declares domain h the star-topology center: models promise every
 // cross-domain message flows between h and a non-hub domain, never
 // shard-to-shard. The declaration pins h into worker group 0 (with its
-// first shard — the hottest edge) and arms hub-light speculative epochs.
-// Pass -1 to clear. Call before running; changing the hub while the
-// worker pool is live is not supported.
+// first shard — the hottest edge) and arms hub-light speculative epochs,
+// whose commit barrier panics if the model breaks the promise. Pass -1 to
+// clear. Call before running; changing the hub while the worker pool is
+// live is not supported.
 func (s *System) SetHub(h int) {
 	if s.pool.state == poolRunning {
 		panic("sim: SetHub while the worker pool is running; Stop first")
@@ -257,26 +219,9 @@ func (s *System) SetHub(h int) {
 // Hub returns the declared hub domain, or -1.
 func (s *System) Hub() int { return int(s.hub) }
 
-// SetSpeculative enables or disables hub-light speculative epochs. Inert
-// until a hub is declared via SetHub. Results are identical either way —
-// speculation only changes how many barriers the run needs — so this is a
-// diagnostic/verification knob, not a result-universe switch.
-func (s *System) SetSpeculative(on bool) { s.spec = on }
-
-// Speculative reports whether hub-light speculation is enabled.
-func (s *System) Speculative() bool { return s.spec }
-
-// SetCheckpointer attaches the model hook that makes speculation
-// violations recoverable. Star-honoring models do not need one.
-func (s *System) SetCheckpointer(c Checkpointer) { s.ckpt = c }
-
 // SpecEpochs returns the number of epochs in which at least one domain ran
 // past its conservative horizon.
 func (s *System) SpecEpochs() uint64 { return s.specEpochs }
-
-// SpecViolations returns the number of speculation violations detected
-// (and recovered via rollback).
-func (s *System) SpecViolations() uint64 { return s.specViolations }
 
 // SetWorkers sets the number of goroutines that execute epochs. Values
 // below 2 select inline execution on the caller's goroutine; results are
@@ -351,13 +296,12 @@ func (s *System) post(src, dst int, m msg) {
 	s.boxes[box] = append(s.boxes[box], m)
 }
 
-// fusable reports whether a src->dst send may bypass the mailbox: fused
-// delivery on, same static group (one goroutine owns both engines), and
-// neither end speculating — a speculating domain's traffic must stay in
-// retractable mailboxes so a rollback can retract its sends and a restore
-// cannot lose its receipts.
+// fusable reports whether a src->dst send may bypass the mailbox: same
+// static group (one goroutine owns both engines), and neither end
+// speculating — the commit barrier can only validate mailbox traffic, so
+// a speculating domain's sends and receipts must stay in mailboxes.
 func (s *System) fusable(src, dst int) bool {
-	return s.fused && s.group[src] == s.group[dst] &&
+	return s.group[src] == s.group[dst] &&
 		!(s.specAny && (s.specOn[src] || s.specOn[dst]))
 }
 
@@ -511,16 +455,11 @@ func (s *System) RunUntil(limit Cycle) bool {
 		// Deliveries therefore always land strictly after their
 		// destination's horizon, at every width the rules admit.
 		hiDefault := s.satHorizon(min1, limit)
-		hiArg := hiDefault
-		s.bounded = -1
-		if s.adaptive {
-			if min2 == maxCycle {
-				hiArg = limit
-			} else {
-				hiArg = s.satHorizon(min2, limit)
-			}
-			s.bounded = arg
+		hiArg := limit
+		if min2 != maxCycle {
+			hiArg = s.satHorizon(min2, limit)
 		}
+		s.bounded = arg
 		// Hub-light speculative horizon. With a declared star topology
 		// (every message flows shard<->hub), the hub cannot dispatch
 		// anything before H0 = min(its next queued event, min1+lookahead
@@ -530,7 +469,7 @@ func (s *System) RunUntil(limit Cycle) bool {
 		// the argument — that is exactly what the commit barrier
 		// validates (validateSpec).
 		starHi := Cycle(0)
-		if s.spec && s.hub >= 0 {
+		if s.hub >= 0 {
 			hubNext := maxCycle
 			if t, ok := s.engines[s.hub].NextTime(); ok {
 				hubNext = t
@@ -564,17 +503,6 @@ func (s *System) RunUntil(limit Cycle) bool {
 				}
 			}
 		}
-		if s.specAny {
-			s.specEpochs++
-			if s.ckpt != nil {
-				for _, d := range s.epochRun {
-					if s.specOn[d] {
-						s.engines[d].snapshot(&s.snaps[d])
-						s.ckpt.Checkpoint(int(d))
-					}
-				}
-			}
-		}
 		s.epochs++
 		if s.workers > 1 && len(s.epochRun) > 1 && s.pool.state != poolStopped {
 			s.runEpochParallel()
@@ -595,6 +523,7 @@ func (s *System) RunUntil(limit Cycle) bool {
 			s.touched[g] = s.touched[g][:0]
 		}
 		if s.specAny {
+			s.specEpochs++
 			s.validateSpec()
 			for _, d := range s.epochRun {
 				s.specOn[d] = false
@@ -798,62 +727,22 @@ func (s *System) flush() {
 // validateSpec is the speculation commit barrier: before mail is
 // delivered, every buffered message is checked against its destination's
 // dispatch cursor (now, lastKey). A message that would have dispatched
-// inside an already-executed window is a violation — the destination ran
-// ahead on the promise that no such message existed. The violated domain
-// is rolled back to its pre-epoch snapshot (engine state and model state
-// via the Checkpointer) and its own un-flushed sends are retracted, since
-// re-execution will regenerate them with identical keys. Retraction can
-// only remove messages, so re-scanning to a fixpoint terminates: each
-// iteration restores one domain, and a domain is restored at most once.
-//
-// A violation at a domain that is not speculating this epoch (or with no
-// Checkpointer attached) cannot be rolled back — it means the model broke
-// the declared star topology — so it panics.
+// inside an already-executed window means the destination ran ahead on
+// the promise that no such message existed — the model broke the declared
+// star topology — so it panics.
 func (s *System) validateSpec() {
 	n := len(s.engines)
-restart:
-	for {
-		for src := 0; src < n; src++ {
-			for _, dst := range s.outDirty[src] {
-				e := s.engines[dst]
-				box := s.boxes[src*n+int(dst)]
-				for i := range box {
-					if e.deliverable(box[i].when, box[i].key) {
-						continue
-					}
-					s.specViolations++
-					if !s.specOn[dst] || s.ckpt == nil {
-						panic(fmt.Sprintf(
-							"sim: speculation violation: message from domain %d delivers at cycle %d inside domain %d's executed window (now %d) and no rollback is possible (speculating=%v, checkpointer=%v); the model sent shard-to-shard traffic despite the declared hub %d — declare the topology honestly, attach a Checkpointer, or disable speculation",
-							src, box[i].when, dst, e.Now(), s.specOn[dst], s.ckpt != nil, s.hub))
-					}
-					s.restoreDomain(dst)
-					continue restart
+	for src := 0; src < n; src++ {
+		for _, dst := range s.outDirty[src] {
+			e := s.engines[dst]
+			box := s.boxes[src*n+int(dst)]
+			for i := range box {
+				if m := &box[i]; !e.deliverable(m.when, m.key) {
+					panic(fmt.Sprintf(
+						"sim: speculation violation: message from domain %d delivers at cycle %d inside domain %d's executed window (now %d); the model sent shard-to-shard traffic despite the declared hub %d — declare the topology honestly or clear the hub with SetHub(-1)",
+						src, m.when, dst, e.Now(), s.hub))
 				}
 			}
 		}
-		return
 	}
-}
-
-// restoreDomain rewinds domain d to the snapshot taken at this epoch's
-// start: engine queue/clock/counters, model state via the Checkpointer,
-// and d's own buffered sends (retracted — deterministic re-execution will
-// regenerate them, with identical keys). d rejoins the active set and
-// re-executes under normal horizons in subsequent epochs.
-func (s *System) restoreDomain(d int32) {
-	s.engines[d].restore(&s.snaps[d])
-	n := len(s.engines)
-	for _, dst := range s.outDirty[d] {
-		bi := int(d)*n + int(dst)
-		box := s.boxes[bi]
-		for i := range box {
-			box[i] = msg{}
-		}
-		s.boxes[bi] = box[:0]
-	}
-	s.outDirty[d] = s.outDirty[d][:0]
-	s.ckpt.Restore(int(d))
-	s.specOn[d] = false
-	s.activate(d)
 }

@@ -234,12 +234,10 @@ func TestSystemSetWorkersWhileRunningPanics(t *testing.T) {
 // per event), so a per-domain step cap bounds it; the cap reads only the
 // domain's own log length, whose growth follows the canonical dispatch
 // order and is therefore identical at every worker count.
-func synthRun(workers int, adaptive, fused bool) string {
+func synthRun(workers int) string {
 	const domains, lookahead = 5, 7
 	const maxStepsPerDomain = 1500
 	s := NewSystem(domains, lookahead)
-	s.SetAdaptive(adaptive)
-	s.SetFused(fused)
 	s.SetWorkers(workers)
 	defer s.Stop()
 	logs := make([][]string, domains) // domain-owned: no cross-domain writes
@@ -277,67 +275,79 @@ func synthRun(workers int, adaptive, fused bool) string {
 
 // TestSystemWorkerCountByteIdentity is the determinism contract: the same
 // event cascade produces an identical dispatch trace at any worker count,
-// including inline execution, in both epoch modes, and with same-group
-// fusion on or off. Explicit (rank, seq) event keys fix one canonical
-// dispatch order at send time, so adaptive and fixed epochs — formerly
-// distinct result universes — and the fused fast path all replay the
-// single reference trace byte for byte.
+// including inline execution. Explicit (rank, seq) event keys fix one
+// canonical dispatch order at send time, so fused same-group inserts
+// (every send at one worker) and mailbox delivery (cross-group sends at
+// two or more) replay the single reference trace byte for byte.
 func TestSystemWorkerCountByteIdentity(t *testing.T) {
-	ref := synthRun(1, true, true)
+	ref := synthRun(1)
 	if len(ref) < 100 {
 		t.Fatalf("synthetic cascade too small to be meaningful:\n%s", ref)
 	}
-	for _, adaptive := range []bool{true, false} {
-		for _, fused := range []bool{true, false} {
-			for _, w := range []int{1, 2, 3, 8} {
-				if got := synthRun(w, adaptive, fused); got != ref {
-					t.Errorf("adaptive=%v fused=%v workers=%d diverged from reference\nreference:\n%.300s\ngot:\n%.300s",
-						adaptive, fused, w, ref, got)
-				}
-			}
+	for _, w := range []int{2, 3, 8} {
+		if got := synthRun(w); got != ref {
+			t.Errorf("workers=%d diverged from reference\nreference:\n%.300s\ngot:\n%.300s",
+				w, ref, got)
 		}
 	}
 }
 
-// TestSystemStress is the CI -race workout: many very short epochs (tight
-// lookahead, dense cross-traffic, frequent barriers) at 8 workers, with
+// stressRun drives the CI -race workout: many very short epochs (tight
+// lookahead, mostly boundary-tight sends, frequent barriers) over nine
+// domains. With star, every message flows spoke<->hub (domain 8, which
+// starts idle); with hub, the system declares domain 8 its hub too.
+func stressRun(workers int, star, hub bool) (dispatched uint64, now Cycle) {
+	const domains, lookahead = 9, 4
+	const hubDomain = domains - 1
+	s := NewSystem(domains, lookahead)
+	if hub {
+		s.SetHub(hubDomain)
+	}
+	s.SetWorkers(workers)
+	defer s.Stop()
+	counts := make([]uint64, domains) // domain-owned
+	var step func(d int, state uint64)
+	step = func(d int, state uint64) {
+		counts[d]++
+		if counts[d] >= 4000 {
+			return
+		}
+		r := NewRand(state)
+		for i := 0; i < 1+int(state%2); i++ {
+			dst := hubDomain
+			switch {
+			case !star:
+				dst = r.Intn(domains)
+			case d == hubDomain:
+				dst = r.Intn(domains - 1)
+			}
+			delay := Cycle(lookahead + r.Intn(3))
+			next := state*6364136223846793005 + uint64(i) + 1442695040888963407
+			s.SendArg(d, dst, s.Engine(d).Now()+delay, func(v uint64) { step(dst, v) }, next)
+		}
+	}
+	for d := 0; d < domains; d++ {
+		if star && d == hubDomain {
+			continue
+		}
+		d := d
+		seed := uint64(3*d + 1)
+		s.Engine(d).Schedule(Cycle(d%3), func() { step(d, seed) })
+	}
+	s.RunUntil(30000)
+	return s.Dispatched(), s.Now()
+}
+
+// TestSystemStress runs the stress cascade at 8 workers, repeated, with
 // dispatch totals pinned against inline execution. Any data race between
 // domain execution, mailbox posting, and the barrier merge surfaces here.
 func TestSystemStress(t *testing.T) {
-	run := func(workers int) (uint64, Cycle) {
-		const domains, lookahead = 9, 4
-		s := NewSystem(domains, lookahead)
-		s.SetWorkers(workers)
-		defer s.Stop()
-		counts := make([]uint64, domains) // domain-owned
-		var step func(d int, state uint64)
-		step = func(d int, state uint64) {
-			counts[d]++
-			if counts[d] >= 4000 {
-				return
-			}
-			r := NewRand(state)
-			for i := 0; i < 1+int(state%2); i++ {
-				dst := r.Intn(domains)
-				delay := Cycle(lookahead + r.Intn(3)) // mostly boundary-tight sends
-				next := state*6364136223846793005 + uint64(i) + 1442695040888963407
-				s.SendArg(d, dst, s.Engine(d).Now()+delay, func(v uint64) { step(dst, v) }, next)
-			}
-		}
-		for d := 0; d < domains; d++ {
-			d := d
-			seed := uint64(3*d + 1)
-			s.Engine(d).Schedule(Cycle(d % 3), func() { step(d, seed) })
-		}
-		s.RunUntil(30000)
-		return s.Dispatched(), s.Now()
-	}
-	refDispatched, refNow := run(1)
+	refDispatched, refNow := stressRun(1, false, false)
 	if refDispatched < 1000 {
 		t.Fatalf("stress cascade too small: %d events", refDispatched)
 	}
 	for i := 0; i < 3; i++ {
-		if d, n := run(8); d != refDispatched || n != refNow {
+		if d, n := stressRun(8, false, false); d != refDispatched || n != refNow {
 			t.Fatalf("workers=8 iteration %d: (dispatched, now) = (%d, %d), inline = (%d, %d)",
 				i, d, n, refDispatched, refNow)
 		}
