@@ -9,28 +9,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"uvmsim/internal/harness"
 	"uvmsim/internal/server"
 )
 
 // startDaemon brings up an in-process sweepd over a fresh store and
-// returns its base URL. The store is removed with retries, not by
-// t.TempDir: the daemon rewrites a grid's manifest just after publishing
-// its terminal event, racing the removal.
+// returns its base URL.
 func startDaemon(t *testing.T) string {
 	t.Helper()
-	dir, err := os.MkdirTemp("", "sweepctl-test-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for i := 0; os.RemoveAll(dir) != nil && i < 100; i++ {
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
-	cache, err := harness.OpenCache(dir)
+	cache, err := harness.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,10 @@ func main() {
 	timeline := flag.Bool("timeline", false, "render the batch timeline as ASCII (Figure 2's view)")
 	runahead := flag.Int("runahead", 0, "runahead fault-generation depth (0 = off)")
 	par := flag.Int("par", 1, "event-engine workers sharding SM clusters across cores (results are byte-identical at any value; ignored with -exectrace)")
-	traceOut := flag.String("traceout", "", "write the workload's access trace to this file and exit")
-	traceIn := flag.String("tracein", "", "simulate a trace file (written by -traceout) instead of building -workload")
+	traceOut := flag.String("traceout", "", "write the workload's compiled trace (a UVMCMP1 artifact) to this file and exit")
+	traceIn := flag.String("tracein", "", "simulate a trace file (written by -traceout, or any .uvmcmp artifact-store entry) instead of building -workload")
 	execTrace := flag.String("trace", "", "write a Chrome trace-event JSON execution trace (Perfetto-loadable) to this file")
-	compiled := flag.Bool("compiled", false, "compile the workload to the flat in-process trace form before simulating (identical results, faster replay)")
-	artifacts := flag.String("artifacts", "", "on-disk compiled-trace artifact store (implies -compiled): load the workload's UVMCMP1 artifact when present, else build and persist it; share the directory with sweepd/experiments to skip their builds too")
+	artifacts := flag.String("artifacts", "", "on-disk compiled-trace artifact store: load the workload's UVMCMP1 artifact when present, else build and persist it; share the directory with sweepd/experiments to skip their builds too")
 	flag.Parse()
 
 	if *list {
@@ -72,62 +71,37 @@ func main() {
 	cfg.GPU.IssueSlotsPerCycle = *issue
 	cfg.UVM.TrackDirty = *dirty
 
+	p := workload.Default()
+	p.Vertices = *vertices
+	p.AvgDegree = *degree
+	p.Seed = *seed
+	p.ThreadsPerBlock = *tpb
+	p.ComputeCycles = *compute
+
 	var w *trace.Workload
-	if *traceIn != "" {
-		f, ferr := os.Open(*traceIn)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, ferr)
-			os.Exit(1)
+	switch {
+	case *traceIn != "":
+		w, err = readTrace(*traceIn, cfg.GPU.WarpSize)
+	case *traceOut != "" || *artifacts != "":
+		var c *trace.Compiled
+		var key string
+		if c, key, err = compileWorkload(*artifacts, *name, p, cfg.GPU.WarpSize); err != nil {
+			break
 		}
-		w, err = trace.DecodeWorkload(f)
-		f.Close()
-	} else {
-		p := workload.Default()
-		p.Vertices = *vertices
-		p.AvgDegree = *degree
-		p.Seed = *seed
-		p.ThreadsPerBlock = *tpb
-		p.ComputeCycles = *compute
-		if *artifacts != "" && *traceOut == "" {
-			// Artifact path: skip the whole generate+compile step when the
-			// store already holds this (workload, params, seed, warp) point —
-			// e.g. one left behind by experiments or sweepd.
-			w, err = loadOrBuildCompiled(*artifacts, *name, p, cfg.GPU.WarpSize)
-			*compiled = false // w is already the compiled view
-		} else {
-			w, err = workload.Build(*name, p)
+		if *traceOut == "" {
+			w = c.Workload()
+			break
 		}
+		if err = writeTrace(*traceOut, c, key); err == nil {
+			fmt.Printf("wrote %s (%d kernels, %d pages)\n", *traceOut, len(c.Kernels()), c.Workload().FootprintPages())
+			return
+		}
+	default:
+		w, err = workload.Build(*name, p)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := trace.EncodeWorkload(w, cfg.GPU.WarpSize, f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d kernels, %d pages)\n", *traceOut, len(w.Kernels), w.FootprintPages())
-		return
-	}
-
-	if *compiled {
-		c, cerr := trace.Compile(w, cfg.GPU.WarpSize)
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(1)
-		}
-		w = c.Workload()
 	}
 
 	var stats *metrics.Stats
@@ -222,35 +196,67 @@ func main() {
 	fmt.Printf("L2 cache            %d hits / %d misses\n", stats.CacheL2Hit, stats.CacheL2Mis)
 }
 
-// loadOrBuildCompiled serves the workload from an on-disk UVMCMP1
-// artifact store: a hit replays the flat arrays straight off disk with no
-// generation or compile work; a miss builds, compiles, and persists so
-// the next process (this one, experiments, or sweepd) hits. Results are
-// byte-identical either way — the fidelity suite guards it.
-func loadOrBuildCompiled(dir, name string, p workload.Params, warpSize int) (*trace.Workload, error) {
-	store, err := trace.OpenArtifactStore(dir)
+// readTrace loads a trace file (a UVMCMP1 artifact from -traceout or an
+// artifact store) under any key, so it checks the warp size the key
+// would have pinned: a trace from another warp size would otherwise
+// replay a mispartitioned subset of its warps without error.
+func readTrace(path string, warpSize int) (*trace.Workload, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	hash, err := harness.HashParts(p)
+	c, err := trace.ReadCompiledArtifact(data, "")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reading trace %s: %w", path, err)
 	}
-	key := trace.ArtifactKey(name, hash, p.Seed, warpSize)
-	if c, err := store.LoadCompiled(key); err == nil {
-		return c.Workload(), nil
-	}
-	w, err := workload.Build(name, p)
-	if err != nil {
-		return nil, err
-	}
-	c, err := trace.Compile(w, warpSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := store.SaveCompiled(key, c); err != nil {
-		// Persisting is an optimization; a full disk should not fail the run.
-		fmt.Fprintln(os.Stderr, "uvmsim: artifact save:", err)
+	if c.WarpSize != warpSize {
+		return nil, fmt.Errorf("trace %s was recorded at warp size %d; the simulated GPU uses warp size %d", path, c.WarpSize, warpSize)
 	}
 	return c.Workload(), nil
+}
+
+// writeTrace writes c to path as the UVMCMP1 artifact stored under key:
+// the bytes an artifact-store entry for the same point holds.
+func writeTrace(path string, c *trace.Compiled, key string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteCompiledArtifact(f, c, key); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace %s: %w", path, err)
+	}
+	return f.Close()
+}
+
+// compileWorkload returns the workload compiled at warpSize and its
+// artifact-store key. With a store directory it goes through the same
+// disk tier as experiments and sweepd: an artifact already stored (by
+// them or an earlier run) loads with no generation or compile work, and
+// a fresh build is persisted. Results are byte-identical either way.
+func compileWorkload(dir, name string, p workload.Params, warpSize int) (*trace.Compiled, string, error) {
+	hash, err := harness.HashParts(p)
+	if err != nil {
+		return nil, "", err
+	}
+	key := trace.ArtifactKey(name, hash, p.Seed, warpSize)
+	builds := harness.NewBuildCache()
+	if dir != "" {
+		store, err := trace.OpenArtifactStore(dir)
+		if err != nil {
+			return nil, "", err
+		}
+		builds.SetDisk(store)
+	}
+	v, err := builds.Get(key, func() (any, error) {
+		w, err := workload.Build(name, p)
+		if err != nil {
+			return nil, err
+		}
+		return trace.Compile(w, warpSize)
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return v.(*trace.Compiled), key, nil
 }

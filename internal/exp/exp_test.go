@@ -351,12 +351,11 @@ func TestFig18Driver(t *testing.T) {
 	}
 }
 
-// TestWorkloadKeyStructural is the build-cache analogue of the UVMTRC2
-// warp-size lesson: two runners at different warp sizes (or forms)
-// sharing one BuildCache must occupy distinct entries, because the key —
-// trace.ArtifactKey — carries the codec version and warp size
-// structurally. Before this, nothing but convention kept a warp-16
-// compile from serving a warp-32 simulation.
+// TestWorkloadKeyStructural: two runners at different warp sizes (or
+// forms) sharing one BuildCache must occupy distinct entries, because
+// the key — trace.ArtifactKey — carries the codec version and warp size
+// structurally. Nothing but the key keeps a warp-16 compile from
+// serving a warp-32 simulation.
 func TestWorkloadKeyStructural(t *testing.T) {
 	p := workload.Default()
 	p.Vertices = 1 << 10

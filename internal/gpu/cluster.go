@@ -727,15 +727,11 @@ func (s *shard) runahead(w *Warp) {
 	if depth == 0 {
 		return
 	}
-	peeker, ok := w.stream.(trace.Peeker)
-	if !ok {
-		return
-	}
 	pageBytes := s.c.cfg.UVM.PageBytes
 	now := s.eng.Now()
 	scratch := s.getKeys()
 	for i := 0; i < depth; i++ {
-		acc, ok := peeker.PeekAhead(i)
+		acc, ok := w.stream.PeekAhead(i)
 		if !ok {
 			break
 		}

@@ -42,7 +42,7 @@ func (e *env) buildStats(t *testing.T) storesBody {
 // grid uses a different ratio so its results are not in the result cache
 // (the jobs really run); only the compiled workload is reused.
 func TestColdStartZeroRebuilds(t *testing.T) {
-	dir := storeDir(t)
+	dir := t.TempDir()
 	withArtifacts := func(o *server.Options) {
 		o.ArtifactDir = filepath.Join(dir, "artifacts")
 	}

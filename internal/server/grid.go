@@ -159,36 +159,42 @@ func (g *grid) waitCh() chan struct{} {
 	return g.wait
 }
 
-// finish records one job outcome (called under the server mutex by the
-// flight watcher).
-func (g *grid) finish(key string, res *harness.Result) {
+// resultStatus is the grid status a finished job's result earns.
+func resultStatus(res *harness.Result) string {
+	switch {
+	case res.Err != "":
+		return statusFailed
+	case res.Cached:
+		return statusCached
+	}
+	return statusDone
+}
+
+// finish records one job outcome at time now (called under the server
+// mutex by the flight watcher, after writing the manifest that has it).
+func (g *grid) finish(key string, res *harness.Result, now time.Time) {
 	gj := g.byKey[key]
 	if gj == nil || gj.res != nil {
 		return
 	}
 	gj.res = res
+	gj.status = resultStatus(res)
 	g.completed++
-	switch {
-	case res.Err != "":
-		gj.status = statusFailed
+	if gj.status == statusFailed {
 		g.failed++
-	case res.Cached:
-		gj.status = statusCached
-	default:
-		gj.status = statusDone
 	}
 	g.appendEvent(harness.JobEvent(res, g.completed, len(g.jobs)))
-	g.maybeFinishEvent()
+	g.maybeFinishEvent(now)
 }
 
 // maybeFinishEvent appends the terminal grid record once every job has
-// an outcome, anchoring the TTL clock.
-func (g *grid) maybeFinishEvent() {
+// an outcome, anchoring the TTL clock at now.
+func (g *grid) maybeFinishEvent(now time.Time) {
 	if !g.done() {
 		return
 	}
 	if g.finished.IsZero() {
-		g.finished = time.Now()
+		g.finished = now
 	}
 	status := statusDone
 	if g.failed > 0 {
@@ -394,30 +400,43 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			g.appendEvent(ev)
 		}
 	}
-	g.maybeFinishEvent()
+	g.maybeFinishEvent(time.Now())
 	status := s.gridStatusLocked(g)
 	s.mu.Unlock()
 	s.persist(g) // durable from admission on: a restart re-enqueues the remainder
 	writeJSON(w, http.StatusAccepted, status)
 }
 
-// watch waits for one flight's task, fans its result out to every grid
-// that joined it, and persists those grids' manifests.
+// watch waits for one flight's task and fans its result out to every
+// grid that joined it, persisting before publishing: each grid's
+// manifest is rewritten with the outcome before the outcome shows in the
+// grid's status, results or events, the terminal event included. Only
+// watch changes a grid after admission, and persistMu serializes
+// watches, so each grid is still as snapshotted when finish runs.
 func (s *Server) watch(key string, t *harness.Task) {
 	<-t.Done()
 	res := t.Result()
+	now := time.Now()
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	var touched []*grid
+	var ms []*manifest
 	s.mu.Lock()
 	f := s.flights[key]
 	delete(s.flights, key)
 	if f != nil {
 		for g := range f.grids {
-			g.finish(key, &res)
 			touched = append(touched, g)
+			ms = append(ms, s.manifestAfter(g, key, &res, now))
 		}
 	}
 	s.mu.Unlock()
-	s.persist(touched...)
+	s.writeManifests(ms)
+	s.mu.Lock()
+	for _, g := range touched {
+		g.finish(key, &res, now)
+	}
+	s.mu.Unlock()
 }
 
 // GridStatus is the submission/status body.

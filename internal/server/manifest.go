@@ -99,20 +99,46 @@ func (s *Server) writeManifest(m *manifest) error {
 	return nil
 }
 
-// persist rewrites the manifests of the given grids (snapshotting under
-// the mutex, writing outside it). Write failures are logged, not fatal:
-// the daemon keeps serving from memory and retries at the next
-// completion.
-func (s *Server) persist(grids ...*grid) {
-	if s.manifestDir == "" {
-		return
+// manifestAfter snapshots g's manifest as it will stand once
+// g.finish(key, res, now) has run. Callers hold the server mutex.
+func (s *Server) manifestAfter(g *grid, key string, res *harness.Result, now time.Time) *manifest {
+	m := s.manifestLocked(g)
+	if gj := g.byKey[key]; gj == nil || gj.res != nil {
+		return m // finish will ignore the outcome too
 	}
+	for i := range m.Jobs {
+		if m.Jobs[i].Key == key {
+			m.Jobs[i].Status = resultStatus(res)
+		}
+	}
+	if g.completed+1 == len(g.jobs) && m.Finished.IsZero() {
+		m.Finished = now
+	}
+	return m
+}
+
+// persist rewrites the manifests of the given grids (snapshotting under
+// the mutex, writing outside it). Holding persistMu throughout keeps an
+// older snapshot from overwriting a newer one.
+func (s *Server) persist(grids ...*grid) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	ms := make([]*manifest, 0, len(grids))
 	s.mu.Lock()
 	for _, g := range grids {
 		ms = append(ms, s.manifestLocked(g))
 	}
 	s.mu.Unlock()
+	s.writeManifests(ms)
+}
+
+// writeManifests writes snapshotted manifests. Failures are logged, not
+// fatal: the daemon keeps serving from memory and retries at the next
+// completion. Callers hold persistMu.
+func (s *Server) writeManifests(ms []*manifest) {
+	if s.manifestDir == "" {
+		return
+	}
 	for _, m := range ms {
 		if err := s.writeManifest(m); err != nil {
 			s.logf("%v", err)
@@ -297,7 +323,7 @@ func (s *Server) restoreGrid(m *manifest) error {
 		ev.Status = gj.status
 		g.appendEvent(ev)
 	}
-	g.maybeFinishEvent()
+	g.maybeFinishEvent(time.Now())
 	return nil
 }
 

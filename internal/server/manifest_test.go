@@ -74,35 +74,36 @@ func readEvents(t *testing.T, url string, deadline time.Duration) []harness.Even
 	return events
 }
 
-// waitManifestTerminal blocks until a grid's on-disk manifest records a
-// terminal status for every point — the moment a kill stops being "mid-
-// grid". (Status polling can observe done before the watcher's manifest
-// rewrite lands; byte-identity assertions must wait for the disk.)
-func waitManifestTerminal(t *testing.T, dir, id string) {
+// checkManifestTerminal requires a grid's on-disk manifest to record a
+// terminal status for every point and a finish time. The daemon writes
+// a manifest before it publishes the outcomes it records, so this must
+// hold as soon as a client has seen the grid finish, by status or by its
+// terminal event.
+func checkManifestTerminal(t *testing.T, dir, id string) {
 	t.Helper()
-	path := filepath.Join(dir, "manifests", id+".json")
-	waitFor(t, func() bool {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return false
+	data, err := os.ReadFile(filepath.Join(dir, "manifests", id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Finished time.Time `json:"finished"`
+		Jobs     []struct {
+			Status string `json:"status"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Finished.IsZero() || len(m.Jobs) == 0 {
+		t.Fatalf("manifest %s after the grid finished: finished %v, %d jobs", id, m.Finished, len(m.Jobs))
+	}
+	for i, j := range m.Jobs {
+		switch j.Status {
+		case "stored", "done", "cached", "failed":
+		default:
+			t.Fatalf("manifest %s after the grid finished: job %d is %q", id, i, j.Status)
 		}
-		var m struct {
-			Jobs []struct {
-				Status string `json:"status"`
-			} `json:"jobs"`
-		}
-		if json.Unmarshal(data, &m) != nil || len(m.Jobs) == 0 {
-			return false
-		}
-		for _, j := range m.Jobs {
-			switch j.Status {
-			case "stored", "done", "cached", "failed":
-			default:
-				return false
-			}
-		}
-		return true
-	})
+	}
 }
 
 // TestDuplicatePointSubmissionTerminates is the regression for the
@@ -136,14 +137,14 @@ func TestDuplicatePointSubmissionTerminates(t *testing.T) {
 // restored from their manifests and answer status, results, and figure
 // requests byte-for-byte identically to the pre-restart daemon.
 func TestRestartServesPersistedGrids(t *testing.T) {
-	dir := storeDir(t)
+	dir := t.TempDir()
 	e1 := startDir(t, dir, nil)
 	fig := e1.submit(t, `{"preset":"fig03","scale":"small","vertices":65536,"avg_degree":6}`)
 	runs := e1.submit(t, tinyBody())
 	e1.await(t, fig.ID)
 	e1.await(t, runs.ID)
-	waitManifestTerminal(t, dir, fig.ID)
-	waitManifestTerminal(t, dir, runs.ID)
+	checkManifestTerminal(t, dir, fig.ID)
+	checkManifestTerminal(t, dir, runs.ID)
 
 	urls := []string{
 		"/api/v1/grids/" + fig.ID,
@@ -188,7 +189,7 @@ func TestRestartServesPersistedGrids(t *testing.T) {
 // same store, re-enqueues the unfinished remainder, and completes the
 // grid under its original ID.
 func TestRestartResumesUnfinishedGrid(t *testing.T) {
-	dir := storeDir(t)
+	dir := t.TempDir()
 	g := newGate(true)
 	e1 := startDir(t, dir, func(o *server.Options) {
 		o.WrapExec = g.wrap

@@ -76,6 +76,10 @@ type Server struct {
 	manifestDir string        // "" when no cache: grids stay memory-only
 	gridTTL     time.Duration // 0 = finished grids never expire
 
+	// persistMu is held from a manifest snapshot to its write (in watch,
+	// on to publishing the outcome); take it before mu.
+	persistMu sync.Mutex
+
 	mu       sync.Mutex
 	grids    map[string]*grid
 	flights  map[string]*flight // cache key -> in-flight task

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,24 +52,7 @@ type env struct {
 // ends. Extra configuration is applied to the options before New.
 func start(t *testing.T, mutate func(*server.Options)) *env {
 	t.Helper()
-	return startDir(t, storeDir(t), mutate)
-}
-
-// storeDir returns a fresh store directory for a daemon, removed with
-// retries, not by t.TempDir: the daemon rewrites a grid's manifest just
-// after publishing its terminal event, racing the removal.
-func storeDir(t *testing.T) string {
-	t.Helper()
-	dir, err := os.MkdirTemp("", "server-test-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for i := 0; os.RemoveAll(dir) != nil && i < 100; i++ {
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
-	return dir
+	return startDir(t, t.TempDir(), mutate)
 }
 
 // startDir is start over a caller-owned store directory, so restart
@@ -386,7 +368,7 @@ func TestBackpressure(t *testing.T) {
 
 func mustCache(t *testing.T) *harness.Cache {
 	t.Helper()
-	c, err := harness.OpenCache(storeDir(t))
+	c, err := harness.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +478,7 @@ func TestEventStream(t *testing.T) {
 	if last.Type != "grid" || last.ID != st.ID || last.Status != "done" {
 		t.Errorf("terminal event = %+v, want grid/done for %s", last, st.ID)
 	}
+	checkManifestTerminal(t, e.dir, st.ID)
 }
 
 // TestTraceStoreHandoff runs a traced grid and fetches a trace by cache

@@ -1,10 +1,11 @@
 package trace
 
-// On-disk compiled-trace artifacts: the persistent tier of Compiled.
+// On-disk compiled-trace artifacts: the persistent tier of Compiled, and
+// the repository's only trace file format. The artifact store below
+// (shared by uvmsim -artifacts, cmd/experiments and sweepd) and uvmsim's
+// -traceout/-tracein files hold the same bytes.
 //
-// UVMTRC2 (encode.go) serializes *workloads* — a portable varint stream
-// that any process can replay, at the cost of a per-access decode loop.
-// UVMCMP1 serializes the *compiled* form: every struct-of-arrays section
+// UVMCMP1 serializes the compiled form: every struct-of-arrays section
 // of every kernel is written as raw native-endian memory, length-prefixed
 // and 8-byte aligned, so loading an artifact is one sequential read plus
 // reslicing. No per-warp or per-lane loop runs on load, and the returned
@@ -231,11 +232,14 @@ func WriteCompiledArtifact(w io.Writer, c *Compiled, key string) error {
 // returned Compiled aliases data's memory wherever alignment permits
 // (copying once into an aligned buffer otherwise), so data must not be
 // mutated afterwards. key must match the stored key; pass "" to accept
-// any key (inspection tools only). Corrupt or truncated inputs return an
-// error wrapping ErrArtifactCorrupt; well-formed artifacts for another
-// key, codec version, or byte order return ErrArtifactMismatch. The
-// decoder never panics and never aliases memory that could violate the
-// returned slices' invariants.
+// any key, as trace-file replay (uvmsim -tracein) does for a file saved
+// under a key it cannot know. The key is what pins the warp size, so a
+// caller passing "" must compare the returned WarpSize with the warp
+// size it simulates (see Compiled.WarpSize). Corrupt or truncated inputs
+// return an error wrapping ErrArtifactCorrupt; well-formed artifacts for
+// another key, codec version, or byte order return ErrArtifactMismatch.
+// The decoder never panics and never aliases memory that could violate
+// the returned slices' invariants.
 func ReadCompiledArtifact(data []byte, key string) (*Compiled, error) {
 	if len(data) < len(artifactMagic)+8+8+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any artifact", ErrArtifactCorrupt, len(data))

@@ -92,10 +92,10 @@ func TestArtifactSpaceFidelity(t *testing.T) {
 	}
 }
 
-// TestArtifactKeyStructural is the warp-size analogue of the UVMTRC2
-// lesson: every component that changes the compiled artifact must change
-// the key, so cross-warp (or cross-codec) collisions are impossible by
-// construction rather than by caller convention.
+// TestArtifactKeyStructural: every component that changes the compiled
+// artifact, the warp size included, must change the key, so cross-warp
+// (or cross-codec) collisions are impossible by construction rather than
+// by caller convention.
 func TestArtifactKeyStructural(t *testing.T) {
 	base := ArtifactKey("BFS-TTC", "abc123", 42, 32)
 	variants := []string{

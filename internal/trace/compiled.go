@@ -10,9 +10,10 @@ package trace
 //
 // The layout mirrors trace-driven GPU simulators (MacSim's trace files,
 // MGPUSim's instruction streams): capture is separated from replay so the
-// expensive part amortizes across a sweep. The on-disk format in encode.go
-// is the persistent tier of the same idea; Compiled is the in-process
-// tier.
+// expensive part amortizes across a sweep. Compiled is the in-process
+// tier; its UVMCMP1 artifact (artifact.go) is the on-disk tier and the
+// repository's one trace file format, so a uvmsim trace file and an
+// artifact-store entry hold the same bytes.
 
 import (
 	"fmt"
@@ -25,9 +26,11 @@ import (
 type Compiled struct {
 	Name      string
 	Irregular bool
-	// WarpSize is the warp width the streams were captured at; replaying
-	// under a different configured warp size would mispartition threads
-	// into warps, so the view's NewWarpStream enforces it.
+	// WarpSize is the warp width the streams were captured at. Replay
+	// under another configured warp size mispartitions threads: a
+	// narrower one asks for warps outside the compiled grid and panics,
+	// but a wider one silently replays a subset. Code replaying a Compiled
+	// it did not compile, such as a trace file, must check WarpSize first.
 	WarpSize int
 
 	space   *layout.Space
@@ -133,8 +136,8 @@ func (c *Compiled) Kernels() []CompiledKernel { return c.kernels }
 
 // Workload returns a replayable view of c: a Workload whose streams are
 // cursors over the shared arrays. The view can be passed anywhere a live
-// workload can (core.Run, the working-set analyzer, EncodeWorkload); it is
-// immutable and safe to share across concurrent simulations.
+// workload can (core.Run, the working-set analyzer); it is immutable and
+// safe to share across concurrent simulations.
 func (c *Compiled) Workload() *Workload {
 	w := &Workload{
 		Name:      c.Name,
@@ -174,7 +177,7 @@ func (k *CompiledKernel) Stream(block, warp int) *Cursor {
 func (k *CompiledKernel) WarpsPerBlock() int { return k.warpsPerBlock }
 
 // Cursor replays one warp's accesses from a CompiledKernel. It implements
-// WarpStream and Peeker.
+// WarpStream.
 type Cursor struct {
 	k        *CompiledKernel
 	pos, end int32
@@ -203,7 +206,7 @@ func (c *Cursor) Next() (Access, bool) {
 	return a, true
 }
 
-// PeekAhead implements Peeker: upcoming instruction i (0 = what Next
+// PeekAhead implements WarpStream: upcoming instruction i (0 = what Next
 // returns next) without consuming it.
 func (c *Cursor) PeekAhead(i int) (Access, bool) {
 	if i < 0 || c.pos+int32(i) >= c.end {

@@ -26,15 +26,11 @@ func (a Access) IsMemory() bool { return len(a.Addrs) > 0 }
 type WarpStream interface {
 	// Next returns the next instruction; ok is false at stream end.
 	Next() (acc Access, ok bool)
-}
-
-// Peeker is an optional WarpStream extension that lets the GPU look at
-// upcoming instructions without consuming them — the hook used by the
-// runahead fault-generation mechanism (an idealized form of the
-// alternative Section 4.1 of the paper discusses and sets aside).
-type Peeker interface {
 	// PeekAhead returns the i-th upcoming instruction (0 = the one Next
-	// would return); ok is false past the end of the stream.
+	// would return) without consuming it; ok is false past the end of the
+	// stream. It is the hook used by the runahead fault-generation
+	// mechanism (an idealized form of the alternative Section 4.1 of the
+	// paper discusses and sets aside).
 	PeekAhead(i int) (acc Access, ok bool)
 }
 
@@ -92,7 +88,7 @@ func (s *SliceStream) Next() (Access, bool) {
 	return a, true
 }
 
-// PeekAhead implements Peeker.
+// PeekAhead implements WarpStream.
 func (s *SliceStream) PeekAhead(i int) (Access, bool) {
 	if i < 0 || s.pos+i >= len(s.accs) {
 		return Access{}, false
@@ -102,10 +98,9 @@ func (s *SliceStream) PeekAhead(i int) (Access, bool) {
 
 // DrainWarp creates a fresh stream for the given (block, warp) of k and
 // drains it into buf (reusing its capacity), returning the accesses in
-// program order. It is the one canonical stream-draining loop: trace
-// capture (EncodeWorkload), compilation (Compile), and the working-set
-// analyzer (PagesTouched) all consume streams through it, so their
-// semantics cannot drift apart.
+// program order. It is the one canonical stream-draining loop:
+// compilation (Compile) and the working-set analyzer (PagesTouched) both
+// consume streams through it, so their semantics cannot drift apart.
 func DrainWarp(k Kernel, block, warp int, buf []Access) []Access {
 	st := k.NewWarpStream(block, warp)
 	for {

@@ -6,6 +6,69 @@ import (
 	"uvmsim/internal/layout"
 )
 
+// sampleWorkload builds a small two-kernel workload with divergent lane
+// counts and stores.
+func sampleWorkload() *Workload {
+	sp := layout.NewSpace(64 << 10)
+	arr := sp.Alloc("data", 4, 1<<16)
+	mk := func(name string, blocks int) Kernel {
+		return Kernel{
+			Name:            name,
+			Blocks:          blocks,
+			ThreadsPerBlock: 64,
+			RegsPerThread:   24,
+			NewWarpStream: func(block, warp int) WarpStream {
+				return NewSliceStream([]Access{
+					{ComputeCycles: 3, Addrs: []uint64{arr.Addr(block * 100), arr.Addr(block*100 + 1)}},
+					{ComputeCycles: 1},
+					{ComputeCycles: 9, Addrs: []uint64{arr.Addr(warp)}, Store: true},
+				})
+			},
+		}
+	}
+	return &Workload{
+		Name:      "sample",
+		Space:     sp,
+		Kernels:   []Kernel{mk("k0", 3), mk("k1", 1)},
+		Irregular: true,
+	}
+}
+
+func drainAll(w *Workload) []Access { return drainAllWarp(w, 32) }
+
+func drainAllWarp(w *Workload, warpSize int) []Access {
+	var out []Access
+	for _, k := range w.Kernels {
+		for b := 0; b < k.Blocks; b++ {
+			for wp := 0; wp < k.WarpsPerBlock(warpSize); wp++ {
+				out = DrainWarp(k, b, wp, out)
+			}
+		}
+	}
+	return out
+}
+
+// accessesEqual compares two access sequences lane by lane.
+func accessesEqual(t *testing.T, label string, a, b []Access) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: access counts %d != %d", label, len(a), len(b))
+	}
+	for i := range a {
+		if a[i].ComputeCycles != b[i].ComputeCycles || a[i].Store != b[i].Store {
+			t.Fatalf("%s: access %d meta mismatch: %+v vs %+v", label, i, a[i], b[i])
+		}
+		if len(a[i].Addrs) != len(b[i].Addrs) {
+			t.Fatalf("%s: access %d lanes %d != %d", label, i, len(a[i].Addrs), len(b[i].Addrs))
+		}
+		for j := range a[i].Addrs {
+			if a[i].Addrs[j] != b[i].Addrs[j] {
+				t.Fatalf("%s: access %d lane %d: %#x != %#x", label, i, j, a[i].Addrs[j], b[i].Addrs[j])
+			}
+		}
+	}
+}
+
 func TestSliceStream(t *testing.T) {
 	accs := []Access{
 		{ComputeCycles: 1, Addrs: []uint64{10}},
