@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race fuzz-artifact trace-smoke sweepd-smoke bench bench-hotpath experiments experiments-par examples clean
+.PHONY: build test vet test-race fuzz-artifact trace-smoke sweepd-smoke bench experiments experiments-par examples clean
 
 build:
 	$(GO) build ./...
@@ -54,14 +54,6 @@ bench_output.txt:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-
-# Re-measure the hot-path data structures (old vs new engine/LRU
-# implementations) and record the medians as BENCH_hotpath.json, with
-# vs_baseline ratios against the committed report (read before it is
-# overwritten). See the methodology note in README.md before comparing
-# numbers across machines.
-bench-hotpath:
-	$(GO) run ./cmd/benchhotpath -baseline BENCH_hotpath.json -o BENCH_hotpath.json
 
 # Regenerate every table and figure of the paper. -jobs 0 fans the
 # simulation grid out over every CPU; results are identical to a serial

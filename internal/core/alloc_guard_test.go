@@ -49,7 +49,7 @@ func TestCompiledRunAllocationBudget(t *testing.T) {
 	t.Logf("compiled end-to-end run: %.0f allocs/op (budget %d)", allocs, maxCompiledRunAllocs)
 	if allocs > maxCompiledRunAllocs {
 		t.Errorf("compiled end-to-end run allocates %.0f times/op, budget is %d; "+
-			"a hot-path allocation has probably regressed (see BENCH_hotpath.json)",
+			"a hot-path allocation has probably regressed (rerun with -memprofile and read alloc_objects)",
 			allocs, maxCompiledRunAllocs)
 	}
 }

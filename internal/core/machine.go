@@ -168,12 +168,31 @@ func (m *Machine) Run() (*metrics.Stats, error) {
 		}
 		m.Stats.Cycles = limit
 		m.Cluster.FlushStats()
-		return m.Stats, fmt.Errorf("core: %s exceeded %d cycles: %w", m.workload.Name, limit, ErrCycleLimit)
+		return m.Stats, fmt.Errorf("core: %s exceeded %d cycles (%s): %w",
+			m.workload.Name, limit, m.progress(), ErrCycleLimit)
 	}
 	// Drain trailing events (in-flight evictions, controller shutdown).
 	m.Sys.RunUntil(limit)
 	m.Cluster.FlushStats()
 	return m.Stats, nil
+}
+
+// recentBatches is how many of the latest batch sizes progress reports.
+const recentBatches = 5
+
+// progress snapshots the UVM runtime for a cycle-limit error, so a capped
+// run can be told apart as livelock or thrash from its message alone.
+func (m *Machine) progress() string {
+	batches := m.Stats.Batches
+	var sizes []int
+	for _, b := range batches[max(0, len(batches)-recentBatches):] {
+		sizes = append(sizes, b.Pages)
+	}
+	alloc := m.RT.Allocator()
+	return fmt.Sprintf("%d batches, last sizes %v pages, %d/%d pages resident, %d faults pending, "+
+		"premature evictions %.1f%%, TO degree %d, %d warps waiting",
+		len(batches), sizes, alloc.Len(), alloc.Capacity(), m.RT.PendingFaults(),
+		100*m.Stats.PrematureEvictionRate(), m.RT.OversubDegree(), m.Cluster.WaitingWarps())
 }
 
 func (m *Machine) launchNext() {

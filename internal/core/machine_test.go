@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"uvmsim/internal/config"
@@ -122,19 +124,49 @@ func TestPrefetchReducesFaultsOnSequentialScan(t *testing.T) {
 	}
 }
 
+// TestCycleLimitReturnsPartialStats: a capped run returns its partial
+// statistics and an error that wraps ErrCycleLimit (what RunLB and
+// perfbench's cap check match) and carries the runtime's progress at the
+// cap — batches, the latest batch sizes, residency, pending faults,
+// premature evictions, TO degree, waiting warps — so a thrashing point
+// can be diagnosed from its message alone.
 func TestCycleLimitReturnsPartialStats(t *testing.T) {
-	w := scanWorkload(64, 8, 256, 6)
-	cfg := testConfig(config.Baseline)
-	cfg.MaxCycles = 100_000 // far too few to finish
-	stats, err := Run(cfg, w)
-	if err == nil {
-		t.Fatal("expected cycle-limit error")
+	cfg := testConfig(config.TO)
+	cfg.MaxCycles = 2_000_000 // the run needs ~2.03M
+	m, err := NewMachine(cfg, scanWorkload(96, 8, 256, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
+	stats, err := m.Run()
 	if !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("error %v does not wrap ErrCycleLimit", err)
 	}
-	if stats == nil || stats.Cycles != 100_000 {
+	if stats == nil || stats.Cycles != cfg.MaxCycles {
 		t.Fatalf("partial stats = %+v", stats)
+	}
+	batches := stats.Batches
+	if len(batches) <= recentBatches {
+		t.Fatalf("%d batches before the cap; raise MaxCycles so the recent-sizes window is exercised", len(batches))
+	}
+	var sizes []int
+	for _, b := range batches[len(batches)-recentBatches:] {
+		sizes = append(sizes, b.Pages)
+	}
+	alloc := m.RT.Allocator()
+	if alloc.Len() == 0 || stats.Evictions == 0 {
+		t.Fatalf("capped before any paging pressure (%d resident, %d evictions)", alloc.Len(), stats.Evictions)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("core: scan exceeded 2000000 cycles (%d batches, last sizes %v pages", len(batches), sizes),
+		fmt.Sprintf("%d/%d pages resident", alloc.Len(), alloc.Capacity()),
+		fmt.Sprintf("%d faults pending", m.RT.PendingFaults()),
+		fmt.Sprintf("premature evictions %.1f%%", 100*stats.PrematureEvictionRate()),
+		fmt.Sprintf("TO degree %d", m.RT.OversubDegree()),
+		fmt.Sprintf("%d warps waiting): cycle limit exceeded", m.Cluster.WaitingWarps()),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
+		}
 	}
 }
 

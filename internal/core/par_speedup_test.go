@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -9,9 +10,51 @@ import (
 	"uvmsim/internal/trace"
 )
 
+// parEndToEndShape is the intra-run parallelism workload: a compiled scan
+// sized for the default 16-SM machine (4 SM clusters, so 4 shard domains
+// plus the hub) so every domain stays busy. accessesPerThread sets the run
+// length; streams are identical at every worker count, and so — by the
+// engine's determinism contract — are the results.
+func parEndToEndShape(tb testing.TB, accessesPerThread int) (config.Config, *trace.Workload) {
+	tb.Helper()
+	cfg := config.Default()
+	cfg.MaxCycles = 2_000_000_000
+	c, err := trace.Compile(scanWorkload(256, 32, 256, accessesPerThread), cfg.GPU.WarpSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg, c.Workload()
+}
+
+// BenchmarkParEndToEnd replays the parallelism shape at 1, 2, 4 and 8
+// event-engine workers, plus "mono": the same workload at par 1 with every
+// SM in one shard domain, the machine's minimal sharding. par=N ÷ par=1 is
+// the parallel speedup, bounded by the host's core count (below 4 cores
+// the par series measures only overhead); par=1 ÷ mono is the fixed price
+// of sharding before a second core can help.
+func BenchmarkParEndToEnd(b *testing.B) {
+	cfg, w := parEndToEndShape(b, 8)
+	run := func(cfg config.Config, workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunParallel(cfg, w, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("par=%d", workers), run(cfg, workers))
+	}
+	mono := cfg
+	mono.GPU.SMsPerDomain = mono.GPU.NumSMs
+	b.Run("mono", run(mono, 1))
+}
+
 // TestParEndToEndSpeedupMultiCore validates the intra-run parallelism
 // claim on real hardware: RunParallel at par=4 must beat the serial
-// engine by ≥1.3x on the benchhotpath par_end_to_end workload shape.
+// engine by ≥1.3x on the BenchmarkParEndToEnd workload shape.
 // Single-core CI skips it (the correctness half — byte-identical results
 // at any worker count — runs everywhere via the par tests); a multi-core
 // host runs it as part of the ordinary suite, closing the ROADMAP
@@ -27,17 +70,10 @@ func TestParEndToEndSpeedupMultiCore(t *testing.T) {
 		t.Skipf("needs ≥4 cores for a meaningful par=4 measurement (NumCPU=%d, GOMAXPROCS=%d)", n, g)
 	}
 
-	// The benchhotpath par_end_to_end shape, scaled up so one run takes
-	// long enough (hundreds of ms) that scheduling noise stays below the
-	// 1.3x margin under best-of-3.
-	w := scanWorkload(256, 32, 256, 24)
-	cfg := config.Default()
-	cfg.MaxCycles = 2_000_000_000
-	c, err := trace.Compile(w, cfg.GPU.WarpSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := c.Workload()
+	// The BenchmarkParEndToEnd shape, scaled up so one run takes long
+	// enough (hundreds of ms) that scheduling noise stays below the 1.3x
+	// margin under best-of-3.
+	cfg, cw := parEndToEndShape(t, 24)
 
 	measure := func(workers int) time.Duration {
 		best := time.Duration(1<<63 - 1)

@@ -28,8 +28,6 @@ func scanWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.
 			var accs []trace.Access
 			warpsPerBlock := threadsPerBlock / 32
 			gwarp := block*warpsPerBlock + warp
-			totalWarps := blocks * warpsPerBlock
-			_ = totalWarps
 			for i := 0; i < accessesPerThread; i++ {
 				// Stride 17 is coprime to the page counts used in tests,
 				// so each warp walks distinct pages while still sharing

@@ -268,65 +268,80 @@ func (r *Runner) Workload(name string) (*trace.Workload, error) {
 	}
 }
 
-// jobIdentity computes a run's cache identity: a hash over the workload
-// parameters and the complete configuration (seed field zeroed, since the
-// seed is derived *from* the hash), plus the derived per-job seed.
-func (r *Runner) jobIdentity(name string, cfg config.Config) (hash string, seed uint64, err error) {
-	probe := cfg
-	probe.Seed = 0
-	hash, err = harness.HashParts(resultsVersion, r.Params, probe)
-	if err != nil {
-		return "", 0, err
+// job turns one grid point into its harness job, the single place a run's
+// identity is computed: the base config with the point's mutation
+// applied, a hash over the workload parameters and that complete config
+// (seed field zeroed, since the seed is derived *from* the hash), the
+// derived per-job seed stamped into the config, and the progress label.
+// Run, RunBatch and Jobs all build jobs here, so an inline run, a pooled
+// run and a job submitted over HTTP share one cache key, and worker count
+// never influences results.
+func (r *Runner) job(sp RunSpec) (harness.Job, error) {
+	cfg := r.Base
+	if sp.Mutate != nil {
+		sp.Mutate(&cfg)
 	}
-	return hash, harness.DeriveSeed(r.Params.Seed, name, hash), nil
+	cfg.Seed = 0
+	hash, err := harness.HashParts(resultsVersion, r.Params, cfg)
+	if err != nil {
+		return harness.Job{}, err
+	}
+	cfg.Seed = harness.DeriveSeed(r.Params.Seed, sp.Name, hash)
+	return harness.Job{
+		ID:       runLabel(sp.Name, cfg),
+		Workload: sp.Name,
+		Config:   cfg,
+		Hash:     hash,
+		Seed:     cfg.Seed,
+	}, nil
+}
+
+// claim returns the memo entry for a job key, creating it when absent;
+// fresh reports that the caller created it and so must execute the run
+// and close ready.
+func (r *Runner) claim(key string) (e *runOutcome, fresh bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.results[key]; ok {
+		return e, false
+	}
+	e = &runOutcome{ready: make(chan struct{})}
+	r.results[key] = e
+	return e, true
 }
 
 // Run simulates the named workload under the base config modified by
-// mutate (which may be nil), memoizing on the resulting config. Every
-// execution path — inline here or fanned out through the harness by
-// RunBatch — derives the job's seed and key identically, so worker count
-// never influences results.
+// mutate (which may be nil), memoizing on the resulting job's key.
 func (r *Runner) Run(name string, mutate func(*config.Config)) (*metrics.Stats, error) {
-	cfg := r.Base
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	hash, seed, err := r.jobIdentity(name, cfg)
+	j, err := r.job(RunSpec{Name: name, Mutate: mutate})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Seed = seed
-	key := name + "|" + hash
-	r.mu.Lock()
-	e, ok := r.results[key]
-	if !ok {
-		e = &runOutcome{ready: make(chan struct{})}
-		r.results[key] = e
-	}
-	r.mu.Unlock()
-	if !ok {
-		if r.Progress != nil {
-			fmt.Fprintf(r.Progress, "running %s ...\n", runLabel(name, cfg))
-		}
-		e.stats, e.err = r.simulate(name, cfg, key, r.Par)
-		close(e.ready)
-	} else {
+	e, fresh := r.claim(j.Key())
+	if !fresh {
 		<-e.ready
+		return e.stats, e.err
 	}
+	if r.Progress != nil {
+		fmt.Fprintf(r.Progress, "running %s ...\n", j.ID)
+	}
+	e.stats, e.err = r.simulate(j, r.Par)
+	close(e.ready)
 	return e.stats, e.err
 }
 
-// simulate executes one run (the shared leaf of the inline and harness
-// paths). Cycle-limit aborts return their partial stats with a wrapped
-// core.ErrCycleLimit, matching what RunLB callers unwrap.
-func (r *Runner) simulate(name string, cfg config.Config, key string, par int) (*metrics.Stats, error) {
-	w, err := r.Workload(name)
+// simulate executes one job with par event-system workers (the shared
+// leaf of the inline and harness paths). Cycle-limit aborts return their
+// partial stats with a wrapped core.ErrCycleLimit, matching what RunLB
+// callers unwrap.
+func (r *Runner) simulate(j harness.Job, par int) (*metrics.Stats, error) {
+	w, err := r.Workload(j.Workload)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := core.RunParallel(cfg, w, par)
+	stats, err := core.RunParallel(j.Config, w, par)
 	if err != nil {
-		return stats, fmt.Errorf("exp: %s: %w", key, err)
+		return stats, fmt.Errorf("exp: %s|%s: %w", j.Workload, j.Hash, err)
 	}
 	return stats, nil
 }
@@ -375,39 +390,19 @@ func (r *Runner) RunBatch(specs []RunSpec) error {
 	if r.Pool == nil {
 		return nil
 	}
-	var jobs []harness.Job
-	var entries []*runOutcome
-	for _, sp := range specs {
-		cfg := r.Base
-		if sp.Mutate != nil {
-			sp.Mutate(&cfg)
-		}
-		hash, seed, err := r.jobIdentity(sp.Name, cfg)
-		if err != nil {
-			return err
-		}
-		cfg.Seed = seed
-		key := sp.Name + "|" + hash
-		r.mu.Lock()
-		e, ok := r.results[key]
-		if !ok {
-			e = &runOutcome{ready: make(chan struct{})}
-			r.results[key] = e
-		}
-		r.mu.Unlock()
-		if ok {
-			continue // memoized, in flight, or a duplicate within specs
-		}
-		entries = append(entries, e)
-		jobs = append(jobs, harness.Job{
-			ID:       runLabel(sp.Name, cfg),
-			Workload: sp.Name,
-			Config:   cfg,
-			Hash:     hash,
-			Seed:     seed,
-		})
+	jobs, err := r.Jobs(specs)
+	if err != nil {
+		return err
 	}
-	results, err := r.Pool.Run(r.ctx(), jobs, r.simExecutor)
+	fresh := jobs[:0] // skip points already memoized or in flight
+	var entries []*runOutcome
+	for _, j := range jobs {
+		if e, ok := r.claim(j.Key()); ok {
+			fresh = append(fresh, j)
+			entries = append(entries, e)
+		}
+	}
+	results, err := r.Pool.Run(r.ctx(), fresh, r.simExecutor)
 	for i := range results {
 		e := entries[i]
 		e.stats, e.err = outcomeOf(&results[i])
@@ -422,7 +417,6 @@ func (r *Runner) RunBatch(specs []RunSpec) error {
 // traced and untraced runs produce identical stats and share cache
 // entries.
 func (r *Runner) simExecutor(ctx context.Context, j harness.Job) (*metrics.Stats, error) {
-	key := j.Workload + "|" + j.Hash
 	path := harness.TracePath(ctx)
 	if path == "" {
 		// Execution parallelism is the pool's budget-capped value, not
@@ -436,7 +430,7 @@ func (r *Runner) simExecutor(ctx context.Context, j harness.Job) (*metrics.Stats
 		if par == 0 {
 			par = r.Par // pool without Par set: fall back to the runner's
 		}
-		return r.simulate(j.Workload, j.Config, key, par)
+		return r.simulate(j, par)
 	}
 	w, err := r.Workload(j.Workload)
 	if err != nil {
@@ -444,10 +438,10 @@ func (r *Runner) simExecutor(ctx context.Context, j harness.Job) (*metrics.Stats
 	}
 	stats, tr, err := core.RunTraced(j.Config, w)
 	if err != nil {
-		return stats, fmt.Errorf("exp: %s: %w", key, err)
+		return stats, fmt.Errorf("exp: %s|%s: %w", j.Workload, j.Hash, err)
 	}
 	if err := writeTraceFile(tr, path); err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", key, err)
+		return nil, fmt.Errorf("exp: %s|%s: %w", j.Workload, j.Hash, err)
 	}
 	return stats, nil
 }
@@ -601,10 +595,14 @@ func Experiments() []string {
 // worker pool; the assembly loop below then reads back memoized results.
 func Drive(id string, r *Runner) (*Table, error) {
 	if r.Pool != nil {
-		if warm := warmers[id]; warm != nil {
-			if err := warm(r); err != nil {
-				return nil, err
-			}
+		var err error
+		if grid, ok := presetGrids[id]; ok {
+			err = r.RunBatch(grid(r))
+		} else if warm := warmers[id]; warm != nil {
+			err = warm(r)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	switch id {

@@ -434,3 +434,64 @@ func TestRunnerWorkloadDiskTier(t *testing.T) {
 		t.Fatal("disk-loaded workload differs from the built one")
 	}
 }
+
+// TestCapMarks pins the marking rule for cells computed from runs stopped
+// at the cycle cap: a speedup keeps its direction, anything else is
+// approximate, and an average inherits any marked input.
+func TestCapMarks(t *testing.T) {
+	for _, tc := range []struct {
+		baseLB, variantLB bool
+		speedup, approx   string
+	}{
+		{false, false, "", ""},
+		{true, false, ">=", "~"},
+		{false, true, "<=", "~"},
+		{true, true, "~", "~"},
+	} {
+		if got := speedupMark(tc.baseLB, tc.variantLB); got != tc.speedup {
+			t.Errorf("speedupMark(%v, %v) = %q, want %q", tc.baseLB, tc.variantLB, got, tc.speedup)
+		}
+		if got := approxMark(tc.baseLB, tc.variantLB); got != tc.approx {
+			t.Errorf("approxMark(%v, %v) = %q, want %q", tc.baseLB, tc.variantLB, got, tc.approx)
+		}
+	}
+	var col markedCol
+	if got := col.add(2, "", f2); got != "2.00" {
+		t.Errorf("unmarked cell = %q", got)
+	}
+	if got := col.avg(Mean, f2); got != "2.00" {
+		t.Errorf("average of unmarked inputs = %q, want 2.00", got)
+	}
+	if got := col.add(4, ">=", f2); got != ">=4.00" {
+		t.Errorf("marked cell = %q", got)
+	}
+	if got := col.avg(Mean, f2); got != "~3.00" {
+		t.Errorf("average with a marked input = %q, want ~3.00", got)
+	}
+}
+
+// TestCappedPointsMarkFigures11To15: with a cycle cap that stops every
+// point, Figures 11-15 render instead of failing, every data cell is
+// marked, and each table carries the capped note.
+func TestCappedPointsMarkFigures11To15(t *testing.T) {
+	r := tinyRunner(harness.New(harness.Options{Jobs: 2}))
+	r.Suite = []string{"BFS-TTC"}
+	r.Base.MaxCycles = 500_000
+	for _, id := range []string{"fig11", "fig12", "fig13", "fig14", "fig15"} {
+		tab, err := Drive(id, r)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, row := range tab.Rows {
+			for _, cell := range row[1:] {
+				if cell != "" && !strings.HasPrefix(cell, "~") &&
+					!strings.HasPrefix(cell, ">=") && !strings.HasPrefix(cell, "<=") {
+					t.Errorf("%s: unmarked cell %q in row %v", id, cell, row)
+				}
+			}
+		}
+		if n := len(tab.Notes); n == 0 || tab.Notes[n-1] != cappedNote {
+			t.Errorf("%s: notes %q lack the capped note", id, tab.Notes)
+		}
+	}
+}

@@ -38,11 +38,7 @@ func Fig05(r *Runner) (*Table, error) {
 		}
 		rel := Speedup(base, trad) // <1 when switching hurts
 		vals = append(vals, rel)
-		cell := f2(rel)
-		if lb {
-			cell = "<=" + cell
-		}
-		t.Rows = append(t.Rows, []string{name, cell})
+		t.Rows = append(t.Rows, []string{name, speedupMark(false, lb) + f2(rel)})
 	}
 	t.Rows = append(t.Rows, []string{"AVERAGE", f2(Mean(vals))})
 	return t, nil

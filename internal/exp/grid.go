@@ -9,7 +9,8 @@ import (
 // runner's pool before the driver assembles its table from the memoized
 // results, so the independent simulations run in parallel while the
 // table code stays the straight-line, order-preserving loop the serial
-// path uses. A driver absent from warmers (table1) runs no simulations.
+// path uses. table1, with neither a preset grid (submit.go) nor a
+// warmer, runs no simulations.
 //
 // The gridFigXX enumerations are shared with the HTTP submission surface
 // (submit.go): a sweepd preset submission and a CLI figure warm the
@@ -17,35 +18,12 @@ import (
 // driver performs: a missing point silently degrades to an inline serial
 // run during assembly (TestWarmersCoverDrivers guards this).
 
-// warmers maps driver IDs to their grid submission functions. The
-// single-wave figures warm their shared preset grid; fig01 (trace
-// builds only) and fig17 (staged: wave two's cycle caps derive from
-// wave one's results) keep bespoke warmers.
+// warmers holds the drivers whose grid is not a single-wave preset:
+// fig01 (trace builds only) and fig17 (staged: wave two's cycle caps
+// derive from wave one's results). Every other driver warms its preset.
 var warmers = map[string]func(*Runner) error{
-	"fig01":        warmFig01,
-	"fig03":        warmPreset("fig03"),
-	"fig05":        warmPreset("fig05"),
-	"fig08":        warmPreset("fig08"),
-	"fig11":        warmPreset("fig11"),
-	"fig12":        warmPreset("fig12"),
-	"fig13":        warmPreset("fig13"),
-	"fig14":        warmPreset("fig14"),
-	"fig15":        warmPreset("fig15"),
-	"fig16":        warmPreset("fig16"),
-	"fig17":        warmFig17,
-	"fig18":        warmPreset("fig18"),
-	"ext-runahead": warmPreset("ext-runahead"),
-}
-
-// warmPreset submits the named preset grid through the runner's pool.
-func warmPreset(id string) func(*Runner) error {
-	return func(r *Runner) error {
-		specs, err := PresetSpecs(id, r)
-		if err != nil {
-			return err
-		}
-		return r.RunBatch(specs)
-	}
+	"fig01": warmFig01,
+	"fig17": warmFig17,
 }
 
 // policySpec returns a spec running name under the given policy.

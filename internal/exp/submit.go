@@ -13,7 +13,7 @@ import (
 // (workload x config) enumerations the figure drivers warm through
 // RunBatch, exposed so other frontends — sweepd's HTTP API, chiefly —
 // can submit an identical grid through their own scheduling. Everything
-// here reuses jobIdentity/runLabel, so a job submitted over HTTP, run by
+// here builds jobs through Runner.job, so a job submitted over HTTP, run by
 // the CLI, or warmed by a driver computes the same hash, derived seed,
 // and cache key, and therefore shares result-store entries byte for
 // byte.
@@ -100,33 +100,20 @@ func PresetSpecs(id string, r *Runner) ([]RunSpec, error) {
 
 // Jobs converts a grid of specs into harness jobs carrying exactly the
 // identity (config hash, derived seed, display label) Run and RunBatch
-// compute, so a job executed through any frontend lands on the same
-// cache entry. Duplicate points within specs collapse onto one job.
+// use, so a job executed through any frontend lands on the same cache
+// entry. Duplicate points within specs collapse onto one job.
 func (r *Runner) Jobs(specs []RunSpec) ([]harness.Job, error) {
 	seen := make(map[string]bool, len(specs))
 	jobs := make([]harness.Job, 0, len(specs))
 	for _, sp := range specs {
-		cfg := r.Base
-		if sp.Mutate != nil {
-			sp.Mutate(&cfg)
-		}
-		hash, seed, err := r.jobIdentity(sp.Name, cfg)
+		j, err := r.job(sp)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Seed = seed
-		key := sp.Name + "|" + hash
-		if seen[key] {
-			continue
+		if !seen[j.Key()] {
+			seen[j.Key()] = true
+			jobs = append(jobs, j)
 		}
-		seen[key] = true
-		jobs = append(jobs, harness.Job{
-			ID:       runLabel(sp.Name, cfg),
-			Workload: sp.Name,
-			Config:   cfg,
-			Hash:     hash,
-			Seed:     seed,
-		})
 	}
 	return jobs, nil
 }

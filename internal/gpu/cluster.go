@@ -93,8 +93,8 @@ type shard struct {
 	smEnableFn    func(uint64) // shard-side: apply id<<1|enabled
 	faultFn       func(uint64) // hub-side: fault raised by this shard
 
-	// Pools (see the sequential engine's history in BENCH_hotpath.json:
-	// these keep the issue->translate->resolve path allocation-free).
+	// Pools: these keep the issue->translate->resolve path allocation-free
+	// (TestCompiledRunAllocationBudget in internal/core guards it).
 	keyPool    [][]uint64
 	opPool     []*memOp
 	xlatPool   []*xlatReq

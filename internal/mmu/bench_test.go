@@ -6,10 +6,9 @@ import (
 )
 
 // The benchmark shapes mirror the structures the default (Table 1) config
-// builds; cmd/benchhotpath runs the same old-vs-new pairs to record
-// BENCH_hotpath.json. Both helpers are concrete — the simulator calls these
-// structures directly, and interface dispatch in the loop would blur the
-// very hot path being measured.
+// builds, each run old (Reference) vs new (SetLRU). Both helpers are
+// concrete — the simulator calls these structures directly, and interface
+// dispatch in the loop would blur the very hot path being measured.
 
 // benchStream models the locality the simulator actually sees: most
 // accesses come from a hot set sized to fit the structure, the rest from a

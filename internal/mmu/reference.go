@@ -11,8 +11,8 @@ package mmu
 //   - the property tests, which drive random operation streams through a
 //     Reference and a SetLRU in lockstep and demand identical observable
 //     behaviour (hits, evictions, lengths) before trusting the index;
-//   - cmd/benchhotpath, which measures it against SetLRU to record the
-//     old-vs-new speedup in BENCH_hotpath.json.
+//   - the BenchmarkReference*Shape entries, the old side of the
+//     BenchmarkSetLRU*Shape pairs that measure the indexed LRU's speedup.
 type Reference struct {
 	sets  [][]uint64 // per set, MRU last
 	nSets int

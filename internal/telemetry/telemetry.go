@@ -14,9 +14,9 @@
 //
 // A nil *Tracer is the disabled tracer: every method is a no-op guarded by
 // a single nil check, so call sites on the simulator's per-access hot paths
-// pay nothing measurable when tracing is off (cmd/benchhotpath records the
-// guarantee). Components therefore keep a plain *Tracer field, nil by
-// default, and call it unconditionally.
+// pay nothing measurable when tracing is off (BenchmarkDisabledTracerCall
+// pins the guarantee). Components therefore keep a plain *Tracer field,
+// nil by default, and call it unconditionally.
 //
 // The package name avoids internal/trace, which holds workload access
 // traces — a different artifact entirely.

@@ -260,8 +260,9 @@ func TestArtifactStore(t *testing.T) {
 
 // TestArtifactLoadAllocs pins the zero-copy claim at the unit level: a
 // load performs a bounded handful of allocations (header, space, kernel
-// slices) regardless of trace size. benchhotpath measures the real
-// ratio against a fresh build on a Table-1 workload.
+// slices) regardless of trace size. BenchmarkCompiledBuildVsLoad in
+// internal/workload measures the real ratio against a fresh build on a
+// Table-1 workload.
 func TestArtifactLoadAllocs(t *testing.T) {
 	c, err := Compile(sampleWorkload(), 32)
 	if err != nil {
