@@ -8,6 +8,8 @@ package graph
 // here also gives the simulator an oracle to validate workload results
 // against in tests.
 
+import "slices"
+
 const (
 	// InfLevel marks an unreached vertex in BFS levels.
 	InfLevel = ^uint32(0)
@@ -38,7 +40,7 @@ func BFSLevels(g *CSR, src uint32) (levels []uint32, frontiers [][]uint32) {
 				}
 			}
 		}
-		sortU32(next)
+		slices.Sort(next)
 		frontier = next
 	}
 	return levels, frontiers
@@ -272,19 +274,6 @@ func BCStages(g *CSR, src uint32) (levels []uint32, frontiers [][]uint32, sigma 
 	return levels, frontiers, sigma
 }
 
-func sortU32(s []uint32) {
-	// Insertion-friendly sizes dominate; use a simple in-place quicksort
-	// via sort-free shellsort to avoid pulling interface-based sort into
-	// the hot generator path.
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			for j := i; j >= gap && s[j-gap] > s[j]; j -= gap {
-				s[j-gap], s[j] = s[j], s[j-gap]
-			}
-		}
-	}
-}
-
 func keysSorted(m map[uint32]bool) []uint32 {
 	if len(m) == 0 {
 		return nil
@@ -293,6 +282,6 @@ func keysSorted(m map[uint32]bool) []uint32 {
 	for k := range m {
 		out = append(out, k)
 	}
-	sortU32(out)
+	slices.Sort(out)
 	return out
 }

@@ -210,19 +210,3 @@ func TestBCStagesSigma(t *testing.T) {
 		t.Fatalf("sigma[1,2] = %v, %v, want 1, 1", sigma[1], sigma[2])
 	}
 }
-
-func TestSortU32(t *testing.T) {
-	f := func(vals []uint32) bool {
-		s := append([]uint32(nil), vals...)
-		sortU32(s)
-		for i := 1; i < len(s); i++ {
-			if s[i-1] > s[i] {
-				return false
-			}
-		}
-		return len(s) == len(vals)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

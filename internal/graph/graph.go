@@ -11,7 +11,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"uvmsim/internal/sim"
 )
@@ -90,42 +91,54 @@ func (g *CSR) Validate() error {
 }
 
 // FromEdgeList builds a CSR graph with n vertices from (src, dst, weight)
-// triples. Edges are sorted by (src, dst); duplicates are kept (multigraph
-// semantics match the generators, which deduplicate themselves when asked).
+// triples; every src and dst must be below n. Each vertex's edges come out
+// sorted by dst, and duplicate edges are kept in input order (multigraph
+// semantics match the generators, which deduplicate themselves when
+// asked). Construction is a stable two-pass counting sort: O(n + edges)
+// time and 4 bytes of scratch per edge.
 func FromEdgeList(n int, src, dst, w []uint32) *CSR {
 	if len(src) != len(dst) || len(src) != len(w) {
 		panic("graph: mismatched edge list slices")
 	}
-	idx := make([]int, len(src))
-	for i := range idx {
-		idx[i] = i
+	// Pass 1: a stable counting sort of the edge indices by dst.
+	dstStart := runStarts(dst, n)
+	next := slices.Clone(dstStart)
+	byDst := make([]uint32, len(dst))
+	for i, d := range dst {
+		byDst[next[d]] = uint32(i)
+		next[d]++
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if src[ia] != src[ib] {
-			return src[ia] < src[ib]
-		}
-		return dst[ia] < dst[ib]
-	})
+	// Pass 2: bucket by src in pass 1's order, so each vertex's edges land
+	// sorted by dst, duplicates in input order.
 	g := &CSR{
-		Offsets: make([]uint32, n+1),
+		Offsets: runStarts(src, n),
 		Edges:   make([]uint32, len(src)),
 		Weights: make([]uint32, len(src)),
 	}
-	for _, i := range idx {
-		g.Offsets[src[i]+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	cursor := make([]uint32, n)
-	for _, i := range idx {
-		p := g.Offsets[src[i]] + cursor[src[i]]
-		g.Edges[p] = dst[i]
-		g.Weights[p] = w[i]
-		cursor[src[i]]++
+	copy(next, g.Offsets)
+	for d := 0; d < n; d++ {
+		for _, i := range byDst[dstStart[d]:dstStart[d+1]] {
+			s := src[i]
+			p := next[s]
+			g.Edges[p] = uint32(d)
+			g.Weights[p] = w[i]
+			next[s] = p + 1
+		}
 	}
 	return g
+}
+
+// runStarts returns the prefix sums of the histogram of keys, all below n:
+// in key order, key k's run is [starts[k], starts[k+1]).
+func runStarts(keys []uint32, n int) []uint32 {
+	starts := make([]uint32, n+1)
+	for _, k := range keys {
+		starts[k+1]++
+	}
+	for v := 0; v < n; v++ {
+		starts[v+1] += starts[v]
+	}
+	return starts
 }
 
 // GenConfig parameterizes the synthetic generators.
@@ -142,6 +155,12 @@ type GenConfig struct {
 // vertices and a long tail, which is what defeats page locality in the
 // irregular workloads.
 func RMAT(cfg GenConfig) *CSR {
+	src, dst, w := rmatEdges(cfg)
+	return FromEdgeList(cfg.Vertices, src, dst, w)
+}
+
+// rmatEdges draws RMAT's edge list in generation order.
+func rmatEdges(cfg GenConfig) (src, dst, w []uint32) {
 	n := 1
 	for n < cfg.Vertices {
 		n <<= 1
@@ -152,25 +171,25 @@ func RMAT(cfg GenConfig) *CSR {
 	}
 	m := cfg.Vertices * cfg.EdgesPer
 	r := sim.NewRand(cfg.Seed)
-	src := make([]uint32, m)
-	dst := make([]uint32, m)
-	w := make([]uint32, m)
+	src = make([]uint32, m)
+	dst = make([]uint32, m)
+	w = make([]uint32, m)
 	const a, b, c = 0.57, 0.19, 0.19
+	// Each bit picks a quadrant from p = Float64(): upper-left (p < a)
+	// sets neither bit, upper-right (p < a+b) sets v, lower-left
+	// (p < a+b+c) sets u and lower-right sets both. Float64 is
+	// (Uint64()>>11) / 2^53, so p < T exactly when x := Uint64()>>11 is
+	// below threshold(T). As tA <= tAB <= tABC, u is x >= tAB and v, set
+	// on [tA, tAB) and from tABC up, is the XOR of the three x >= t flags:
+	// no float compare and no data-dependent branch.
+	tA, tAB, tABC := threshold(a), threshold(a+b), threshold(a+b+c)
 	for i := 0; i < m; i++ {
 		var u, v uint32
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
-			switch {
-			case p < a:
-				// upper-left: neither bit set
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+		for bit := 0; bit < scale; bit++ {
+			x := r.Uint64() >> 11
+			geA, geAB, geABC := atLeast(x, tA), atLeast(x, tAB), atLeast(x, tABC)
+			u = u<<1 | geAB
+			v = v<<1 | (geA ^ geAB ^ geABC)
 		}
 		// Fold vertices beyond the requested count back into range so the
 		// caller gets exactly cfg.Vertices vertices.
@@ -178,23 +197,41 @@ func RMAT(cfg GenConfig) *CSR {
 		dst[i] = v % uint32(cfg.Vertices)
 		w[i] = weightFor(r, cfg.Weighted)
 	}
-	return FromEdgeList(cfg.Vertices, src, dst, w)
+	return src, dst, w
+}
+
+// threshold returns ceil(t·2^53): the least 53-bit x with x/2^53 >= t.
+// Scaling by a power of two is exact, so no rounding enters.
+func threshold(t float64) uint64 {
+	return uint64(math.Ceil(t * (1 << 53)))
+}
+
+// atLeast returns 1 if x >= t and 0 otherwise, for x, t < 2^63: x-t wraps
+// and sets bit 63 exactly when x < t.
+func atLeast(x, t uint64) uint32 {
+	return uint32(1 ^ ((x - t) >> 63))
 }
 
 // Uniform generates an Erdős–Rényi-style random graph with m = Vertices ×
 // EdgesPer directed edges chosen uniformly.
 func Uniform(cfg GenConfig) *CSR {
+	src, dst, w := uniformEdges(cfg)
+	return FromEdgeList(cfg.Vertices, src, dst, w)
+}
+
+// uniformEdges draws Uniform's edge list in generation order.
+func uniformEdges(cfg GenConfig) (src, dst, w []uint32) {
 	m := cfg.Vertices * cfg.EdgesPer
 	r := sim.NewRand(cfg.Seed)
-	src := make([]uint32, m)
-	dst := make([]uint32, m)
-	w := make([]uint32, m)
+	src = make([]uint32, m)
+	dst = make([]uint32, m)
+	w = make([]uint32, m)
 	for i := 0; i < m; i++ {
 		src[i] = uint32(r.Intn(cfg.Vertices))
 		dst[i] = uint32(r.Intn(cfg.Vertices))
 		w[i] = weightFor(r, cfg.Weighted)
 	}
-	return FromEdgeList(cfg.Vertices, src, dst, w)
+	return src, dst, w
 }
 
 func weightFor(r *sim.Rand, weighted bool) uint32 {

@@ -149,12 +149,29 @@ func TestGeneratedGraphsAlwaysValid(t *testing.T) {
 	}
 }
 
-func BenchmarkRMATGeneration(b *testing.B) {
-	cfg := GenConfig{Vertices: 1 << 15, EdgesPer: 8, Seed: 1}
+// paperGraph has the shape of a -scale paper workload's graph: 2^18
+// vertices at degree 16, 4.2M edges.
+var paperGraph = GenConfig{Vertices: 1 << 18, EdgesPer: 16, Seed: 42}
+
+var benchSink *CSR
+
+// BenchmarkRMAT times a whole paper-scale RMAT build: the edge draw plus
+// the CSR construction.
+func BenchmarkRMAT(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		RMAT(cfg)
+		benchSink = RMAT(paperGraph)
+	}
+}
+
+// BenchmarkFromEdgeList times the CSR construction alone over a
+// paper-scale RMAT edge list.
+func BenchmarkFromEdgeList(b *testing.B) {
+	src, dst, w := rmatEdges(paperGraph)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = FromEdgeList(paperGraph.Vertices, src, dst, w)
 	}
 }
 
