@@ -17,8 +17,9 @@ import (
 // path itself is allocation-free. The cap's headroom covers benign
 // construction drift, while a single per-access or per-fault allocation
 // sneaking back into the hot path adds at least one allocation per
-// memory instruction (~400 here) and fails loudly. Live-stream replay of
-// the same workload costs ~11k allocations.
+// memory instruction (~400 here) and fails loudly. Live replay of the
+// same workload, which emits every warp into a fresh one-warp
+// trace.Builder, costs ~3.2k allocations.
 const maxCompiledRunAllocs = 1950
 
 // TestCompiledRunAllocationBudget is the CI guard for the compiled

@@ -24,8 +24,7 @@ func scanWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.
 		Blocks:          blocks,
 		ThreadsPerBlock: threadsPerBlock,
 		RegsPerThread:   32,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			var accs []trace.Access
+		Emit: func(b *trace.Builder, block, warp int) {
 			warpsPerBlock := threadsPerBlock / 32
 			gwarp := block*warpsPerBlock + warp
 			for i := 0; i < accessesPerThread; i++ {
@@ -33,13 +32,11 @@ func scanWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.
 				// so each warp walks distinct pages while still sharing
 				// them with other warps.
 				page := (gwarp + i*17) % pages
-				var addrs []uint64
 				for lane := 0; lane < 32; lane++ {
-					addrs = append(addrs, arr.Addr(page*intsPerPage+lane))
+					b.Addr(arr.Addr(page*intsPerPage + lane))
 				}
-				accs = append(accs, trace.Access{ComputeCycles: 4, Addrs: addrs})
+				b.EndAccess(4, false)
 			}
-			return trace.NewSliceStream(accs)
 		},
 	}
 	return &trace.Workload{Name: "scan", Space: sp, Kernels: []trace.Kernel{k}, Irregular: true}

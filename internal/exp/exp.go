@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -153,12 +154,6 @@ type Runner struct {
 	mu      sync.Mutex
 	results map[string]*runOutcome
 
-	// views memoizes one replayable view per compiled-workload key, so
-	// every caller shares a single *trace.Workload even though the build
-	// cache holds the *trace.Compiled underneath.
-	viewMu sync.Mutex
-	views  map[string]*trace.Workload
-
 	hashOnce   sync.Once
 	paramsHash string
 	hashErr    error
@@ -246,21 +241,10 @@ func (r *Runner) Workload(name string) (*trace.Workload, error) {
 	}
 	switch w := v.(type) {
 	case *trace.Compiled:
-		// Memoize the replayable view per runner so concurrent callers
-		// share one *Workload (the long-standing contract); the BuildCache
-		// holds only the *Compiled, which is what the disk tier persists
-		// and the byte budget evicts.
-		r.viewMu.Lock()
-		defer r.viewMu.Unlock()
-		if r.views == nil {
-			r.views = make(map[string]*trace.Workload)
-		}
-		view, ok := r.views[key]
-		if !ok {
-			view = w.Workload()
-			r.views[key] = view
-		}
-		return view, nil
+		// The view is memoized inside the *Compiled, so concurrent callers
+		// share one *Workload and an entry the byte budget evicts takes
+		// its view with it.
+		return w.Workload(), nil
 	case *trace.Workload:
 		return w, nil
 	default:
@@ -517,46 +501,21 @@ func Speedup(base, variant *metrics.Stats) float64 {
 	return float64(base.Cycles) / float64(variant.Cycles)
 }
 
-// GeoMean returns the geometric mean of positive values (the standard
-// aggregate for speedups). Zero or negative values are skipped.
+// GeoMean returns the geometric mean of vals (the standard aggregate
+// for speedups), or 0 for no values. Any value <= 0, such as the 0
+// Speedup reports for a run with no cycles, makes the mean NaN.
 func GeoMean(vals []float64) float64 {
-	prod := 1.0
-	n := 0
+	if len(vals) == 0 {
+		return 0
+	}
+	sum := 0.0
 	for _, v := range vals {
-		if v > 0 {
-			prod *= v
-			n++
+		if v <= 0 {
+			return math.NaN()
 		}
+		sum += math.Log(v)
 	}
-	if n == 0 {
-		return 0
-	}
-	// n-th root via exp/log would need math; use iterative root for
-	// stability with few values.
-	return nthRoot(prod, n)
-}
-
-func nthRoot(x float64, n int) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method on f(r) = r^n - x.
-	r := x
-	if r > 1 {
-		r = 1 + (x-1)/float64(n)
-	}
-	for i := 0; i < 200; i++ {
-		rn := 1.0
-		for j := 0; j < n-1; j++ {
-			rn *= r
-		}
-		next := r - (rn*r-x)/(float64(n)*rn)
-		if diff := next - r; diff < 1e-12 && diff > -1e-12 {
-			return next
-		}
-		r = next
-	}
-	return r
+	return math.Exp(sum / float64(len(vals)))
 }
 
 // Mean returns the arithmetic mean, or 0 for empty input.

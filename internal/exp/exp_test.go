@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/harness"
@@ -217,6 +219,26 @@ func TestGeoMean(t *testing.T) {
 	}
 	if v := GeoMean([]float64{1.5, 1.5, 1.5, 1.5}); math.Abs(v-1.5) > 1e-9 {
 		t.Fatalf("GeoMean(1.5 x4) = %v", v)
+	}
+	// Eleven equal values below 1, the Fig. 11 shape: a product this
+	// small once sent an iterative root off to 1e6 and beyond.
+	for _, x := range []float64{0.60, 0.65, 0.70, 0.81} {
+		vals := make([]float64, 11)
+		for i := range vals {
+			vals[i] = x
+		}
+		if v := GeoMean(vals); math.Abs(v-x) > 1e-12*x {
+			t.Errorf("GeoMean(%v x11) = %v", x, v)
+		}
+	}
+	mixed := []float64{0.3, 0.5, 0.9, 1.2, 2, 3}
+	want := math.Pow(0.3*0.5*0.9*1.2*2*3, 1.0/6)
+	if v := GeoMean(mixed); math.Abs(v-want) > 1e-12*want {
+		t.Errorf("GeoMean(%v) = %v, want %v", mixed, v, want)
+	}
+	// A zero speedup (a run with no cycles) must not vanish from the mean.
+	if v := GeoMean([]float64{0.5, 2, 0}); !math.IsNaN(v) {
+		t.Errorf("GeoMean(0.5, 2, 0) = %v, want NaN", v)
 	}
 }
 
@@ -432,6 +454,52 @@ func TestRunnerWorkloadDiskTier(t *testing.T) {
 	w1, _ := r1.Workload("BFS-TTC")
 	if w1.FootprintBytes() != w2.FootprintBytes() || len(w1.Kernels) != len(w2.Kernels) {
 		t.Fatal("disk-loaded workload differs from the built one")
+	}
+}
+
+// TestEvictedWorkloadIsCollected pins that the build cache's byte budget
+// frees what it evicts: once a compiled workload leaves the cache,
+// nothing else in the runner, its replay view included, may keep its
+// arrays alive.
+func TestEvictedWorkloadIsCollected(t *testing.T) {
+	p := workload.Default()
+	p.Vertices = 1 << 10
+	p.AvgDegree = 4
+	r := NewRunner(p, config.Default())
+	r.Builds.SetLimit(1) // each new entry evicts the one before
+	if _, err := r.Workload("BFS-TTC"); err != nil {
+		t.Fatal(err)
+	}
+	key, err := r.workloadKey("BFS-TTC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.Builds.Get(key, func() (any, error) { return nil, fmt.Errorf("BFS-TTC was not cached") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(&v.(*trace.Compiled).Kernels()[0], func(*trace.CompiledKernel) { close(collected) })
+	v = nil
+
+	if _, err := r.Workload("PR"); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Builds.Stats().Evictions; n != 1 {
+		t.Fatalf("%d evictions, want 1", n)
+	}
+	gone := false
+	for i := 0; i < 50 && !gone; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(r) // the runner is live; only the evicted entry is not
+	if !gone {
+		t.Fatal("the evicted BFS-TTC compiled arrays are still reachable")
 	}
 }
 

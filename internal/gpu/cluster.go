@@ -462,7 +462,7 @@ func (s *shard) dispatchBlock(sm *SM, active bool) (*Block, bool) {
 		wp := &Warp{
 			id:     w,
 			block:  b,
-			stream: s.kernel.NewWarpStream(idx, w),
+			stream: s.kernel.Stream(idx, w),
 			state:  WarpReady,
 		}
 		// Prebake the two completion callbacks the warp reschedules with

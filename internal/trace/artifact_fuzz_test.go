@@ -32,7 +32,7 @@ func fuzzSeedArtifacts() [][]byte {
 	small, err := Compile(&Workload{
 		Name:    "tiny",
 		Space:   w.Space,
-		Kernels: []Kernel{{Name: "k", Blocks: 1, ThreadsPerBlock: 1, NewWarpStream: w.Kernels[0].NewWarpStream}},
+		Kernels: []Kernel{{Name: "k", Blocks: 1, ThreadsPerBlock: 1, Emit: w.Kernels[0].Emit}},
 	}, 32)
 	if err != nil {
 		panic(err)

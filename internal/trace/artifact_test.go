@@ -61,12 +61,10 @@ func TestArtifactSpaceFidelity(t *testing.T) {
 	w := &Workload{
 		Name:  "space-fidelity",
 		Space: sp,
-		Kernels: []Kernel{{
-			Name: "k", Blocks: 1, ThreadsPerBlock: 32,
-			NewWarpStream: func(block, warp int) WarpStream {
-				return NewSliceStream([]Access{{ComputeCycles: 1, Addrs: []uint64{sp.Arrays()[0].Addr(0)}}})
-			},
-		}},
+		Kernels: []Kernel{withAccesses(Kernel{Name: "k", Blocks: 1, ThreadsPerBlock: 32},
+			func(block, warp int) []Access {
+				return []Access{{ComputeCycles: 1, Addrs: []uint64{sp.Arrays()[0].Addr(0)}}}
+			})},
 	}
 	c, err := Compile(w, 32)
 	if err != nil {

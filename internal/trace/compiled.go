@@ -1,9 +1,9 @@
 package trace
 
-// Compiled workload representation: every warp stream of every kernel is
-// flattened, once, into shared backing arrays (a struct-of-arrays per
-// kernel plus one address pool), and replay becomes a cursor over those
-// arrays. Building a Compiled pays the full host-side algorithm replay a
+// Compiled workload representation: every warp of every kernel is
+// emitted, once, through a Builder into shared backing arrays (a
+// struct-of-arrays per kernel plus one address pool), and replay becomes
+// a cursor over those arrays. Building a Compiled pays the full host-side algorithm replay a
 // single time; afterwards any number of simulations — including parallel
 // sweep jobs sharing the same immutable Compiled — create streams with one
 // small allocation (the cursor) and execute Next/PeekAhead with none.
@@ -17,6 +17,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"uvmsim/internal/layout"
 )
@@ -35,6 +36,9 @@ type Compiled struct {
 
 	space   *layout.Space
 	kernels []CompiledKernel
+
+	viewOnce sync.Once
+	view     *Workload
 }
 
 // CompiledKernel is one kernel's flattened streams. Per-access metadata is
@@ -61,9 +65,10 @@ type CompiledKernel struct {
 	addrs []uint64
 }
 
-// Compile flattens w by draining a fresh stream for every (block, warp) of
-// every kernel at the given warp size. Streams must be pure (the usual
-// contract); w itself is not modified and remains usable.
+// Compile flattens w by running every kernel's Emit for every (block,
+// warp) at the given warp size, in grid order, into one Builder. Emit
+// must be pure (the usual contract); w itself is not modified and remains
+// usable. A kernel without Emit is an error.
 func Compile(w *Workload, warpSize int) (*Compiled, error) {
 	if warpSize <= 0 {
 		return nil, fmt.Errorf("trace: Compile warp size %d", warpSize)
@@ -75,37 +80,23 @@ func Compile(w *Workload, warpSize int) (*Compiled, error) {
 		space:     w.Space,
 		kernels:   make([]CompiledKernel, 0, len(w.Kernels)),
 	}
-	var buf []Access
+	var b Builder
 	for _, k := range w.Kernels {
-		ck := CompiledKernel{
-			Name:            k.Name,
-			Blocks:          k.Blocks,
-			ThreadsPerBlock: k.ThreadsPerBlock,
-			RegsPerThread:   k.RegsPerThread,
-			warpsPerBlock:   k.WarpsPerBlock(warpSize),
+		if k.Emit == nil {
+			return nil, fmt.Errorf("trace: kernel %q has no Emit to compile", k.Name)
 		}
-		nWarps := ck.Blocks * ck.warpsPerBlock
-		ck.warpOff = make([]int32, 1, nWarps+1)
-		ck.laneOff = make([]int32, 1, 1024)
-		for b := 0; b < k.Blocks; b++ {
-			for wp := 0; wp < ck.warpsPerBlock; wp++ {
-				buf = DrainWarp(k, b, wp, buf[:0])
-				for _, a := range buf {
-					ck.compute = append(ck.compute, a.ComputeCycles)
-					ck.store = append(ck.store, a.Store)
-					ck.addrs = append(ck.addrs, a.Addrs...)
-					if len(ck.addrs) > maxInt32 {
-						return nil, fmt.Errorf("trace: kernel %q exceeds %d pooled lane addresses", k.Name, maxInt32)
-					}
-					ck.laneOff = append(ck.laneOff, int32(len(ck.addrs)))
+		warps := k.WarpsPerBlock(warpSize)
+		b.begin(k, k.Blocks, warps)
+		for blk := 0; blk < k.Blocks; blk++ {
+			for wp := 0; wp < warps; wp++ {
+				k.Emit(&b, blk, wp)
+				b.endWarp()
+				if b.err != nil {
+					return nil, b.err
 				}
-				if len(ck.compute) > maxInt32 {
-					return nil, fmt.Errorf("trace: kernel %q exceeds %d accesses", k.Name, maxInt32)
-				}
-				ck.warpOff = append(ck.warpOff, int32(len(ck.compute)))
 			}
 		}
-		c.kernels = append(c.kernels, ck)
+		c.kernels = append(c.kernels, b.k)
 	}
 	return c, nil
 }
@@ -134,30 +125,35 @@ func (c *Compiled) AddrWords() int {
 // through Workload).
 func (c *Compiled) Kernels() []CompiledKernel { return c.kernels }
 
-// Workload returns a replayable view of c: a Workload whose streams are
-// cursors over the shared arrays. The view can be passed anywhere a live
-// workload can (core.Run, the working-set analyzer); it is immutable and
-// safe to share across concurrent simulations.
+// Workload returns the replayable view of c: a Workload whose streams are
+// cursors over the shared arrays. The view is built once and memoized in
+// c, so every caller shares one *Workload, and it lives exactly as long
+// as c does. It can be passed anywhere a live workload can (core.Run, the
+// working-set analyzer); it is immutable and safe to share across
+// concurrent simulations.
 func (c *Compiled) Workload() *Workload {
-	w := &Workload{
-		Name:      c.Name,
-		Space:     c.space,
-		Irregular: c.Irregular,
-		Kernels:   make([]Kernel, len(c.kernels)),
-	}
-	for i := range c.kernels {
-		ck := &c.kernels[i]
-		w.Kernels[i] = Kernel{
-			Name:            ck.Name,
-			Blocks:          ck.Blocks,
-			ThreadsPerBlock: ck.ThreadsPerBlock,
-			RegsPerThread:   ck.RegsPerThread,
-			NewWarpStream: func(block, warp int) WarpStream {
-				return ck.Stream(block, warp)
-			},
+	c.viewOnce.Do(func() {
+		w := &Workload{
+			Name:      c.Name,
+			Space:     c.space,
+			Irregular: c.Irregular,
+			Kernels:   make([]Kernel, len(c.kernels)),
 		}
-	}
-	return w
+		for i := range c.kernels {
+			ck := &c.kernels[i]
+			w.Kernels[i] = Kernel{
+				Name:            ck.Name,
+				Blocks:          ck.Blocks,
+				ThreadsPerBlock: ck.ThreadsPerBlock,
+				RegsPerThread:   ck.RegsPerThread,
+				NewWarpStream: func(block, warp int) WarpStream {
+					return ck.Stream(block, warp)
+				},
+			}
+		}
+		c.view = w
+	})
+	return c.view
 }
 
 // Stream returns a fresh cursor over the given warp's accesses. The only

@@ -21,7 +21,7 @@ func randomWorkload(seed int64) *Workload {
 	for ki := 0; ki < nKernels; ki++ {
 		blocks := 1 + rng.Intn(4)
 		tpb := 32 * (1 + rng.Intn(4))
-		// Pre-generate every stream so NewWarpStream is pure.
+		// Pre-generate every stream so the kernel is pure.
 		warps := tpb / 32
 		streams := make([][]Access, blocks*warps)
 		for i := range streams {
@@ -41,23 +41,23 @@ func randomWorkload(seed int64) *Workload {
 			}
 			streams[i] = accs
 		}
-		w.Kernels = append(w.Kernels, Kernel{
+		w.Kernels = append(w.Kernels, withAccesses(Kernel{
 			Name:            "k",
 			Blocks:          blocks,
 			ThreadsPerBlock: tpb,
 			RegsPerThread:   24,
-			NewWarpStream: func(block, warp int) WarpStream {
-				return NewSliceStream(streams[block*warps+warp])
-			},
-		})
+		}, func(block, warp int) []Access {
+			return streams[block*warps+warp]
+		}))
 	}
 	return w
 }
 
 // TestCompileMatchesLiveAndCodec is the property test: for randomized
-// workloads, compile(w) and its UVMCMP1 round trip (the bytes of a trace
-// file or artifact-store entry) must both yield exactly the live access
-// sequence, stream for stream.
+// workloads, compile(w) through the Builder and its UVMCMP1 round trip
+// (the bytes of a trace file or artifact-store entry) must both yield
+// exactly the live access sequence of the reference SliceStreams, stream
+// for stream.
 func TestCompileMatchesLiveAndCodec(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		w := randomWorkload(seed)
@@ -208,6 +208,14 @@ func TestCompiledStreamOutsideGridPanics(t *testing.T) {
 	// size 32; asking for warp 2 means the consumer is using a different
 	// warp size than the compile — exactly the mismatch to surface loudly.
 	c.Kernels()[0].Stream(0, 2)
+}
+
+func TestCompileRequiresEmit(t *testing.T) {
+	w := sampleWorkload()
+	w.Kernels[1].Emit = nil
+	if _, err := Compile(w, 32); err == nil {
+		t.Fatal("kernel without Emit compiled")
+	}
 }
 
 func TestCompileRejectsBadWarpSize(t *testing.T) {

@@ -3,8 +3,8 @@
 // provides, for every warp of every thread block, the stream of
 // instructions (compute delays and per-lane memory addresses) the warp
 // executes. The GPU model consumes these streams; the workload package
-// produces them by replaying the GraphBIG algorithms over laid-out data
-// structures.
+// writes them through a Builder by replaying the GraphBIG algorithms over
+// laid-out data structures.
 package trace
 
 import "uvmsim/internal/layout"
@@ -34,16 +34,42 @@ type WarpStream interface {
 	PeekAhead(i int) (acc Access, ok bool)
 }
 
-// Kernel is one GPU kernel launch.
+// Kernel is one GPU kernel launch. A generated kernel sets Emit; a
+// compiled view, or a hand-written kernel that is replayed but never
+// compiled, sets NewWarpStream. Stream serves either.
 type Kernel struct {
 	Name            string
 	Blocks          int
 	ThreadsPerBlock int
 	RegsPerThread   int
+	// Emit writes the given warp's accesses, in program order, into b.
+	// It must be pure: Compile and live replay may emit a warp any number
+	// of times, from concurrent goroutines, and must see the same
+	// accesses each time.
+	Emit func(b *Builder, block, warp int)
 	// NewWarpStream returns a fresh instruction stream for the given warp
 	// of the given block. Streams must be pure: the simulator (and the
 	// working-set analyzer) may create them any number of times.
 	NewWarpStream func(block, warp int) WarpStream
+}
+
+// Stream returns a fresh replay stream for the given warp of the given
+// block: NewWarpStream's stream when it is set, and otherwise a cursor
+// over the warp emitted into a one-warp Builder. It is the one place
+// that chooses between a compiled cursor and live emission.
+func (k Kernel) Stream(block, warp int) WarpStream {
+	if k.NewWarpStream != nil {
+		return k.NewWarpStream(block, warp)
+	}
+	var b Builder
+	b.begin(k, 1, 1)
+	k.Emit(&b, block, warp)
+	b.endWarp()
+	if b.err != nil {
+		panic(b.err)
+	}
+	ck := b.k // the cursor keeps the arrays, not the builder's scratch
+	return ck.Stream(0, 0)
 }
 
 // WarpsPerBlock returns the number of warps a block occupies for the given
@@ -96,13 +122,12 @@ func (s *SliceStream) PeekAhead(i int) (Access, bool) {
 	return s.accs[s.pos+i], true
 }
 
-// DrainWarp creates a fresh stream for the given (block, warp) of k and
-// drains it into buf (reusing its capacity), returning the accesses in
-// program order. It is the one canonical stream-draining loop:
-// compilation (Compile) and the working-set analyzer (PagesTouched) both
-// consume streams through it, so their semantics cannot drift apart.
+// DrainWarp creates a fresh stream for the given (block, warp) of k (see
+// Kernel.Stream) and drains it into buf (reusing its capacity), returning
+// the accesses in program order. The working-set analyzer (PagesTouched)
+// consumes streams through it.
 func DrainWarp(k Kernel, block, warp int, buf []Access) []Access {
-	st := k.NewWarpStream(block, warp)
+	st := k.Stream(block, warp)
 	for {
 		acc, ok := st.Next()
 		if !ok {

@@ -12,19 +12,18 @@ func sampleWorkload() *Workload {
 	sp := layout.NewSpace(64 << 10)
 	arr := sp.Alloc("data", 4, 1<<16)
 	mk := func(name string, blocks int) Kernel {
-		return Kernel{
+		return withAccesses(Kernel{
 			Name:            name,
 			Blocks:          blocks,
 			ThreadsPerBlock: 64,
 			RegsPerThread:   24,
-			NewWarpStream: func(block, warp int) WarpStream {
-				return NewSliceStream([]Access{
-					{ComputeCycles: 3, Addrs: []uint64{arr.Addr(block * 100), arr.Addr(block*100 + 1)}},
-					{ComputeCycles: 1},
-					{ComputeCycles: 9, Addrs: []uint64{arr.Addr(warp)}, Store: true},
-				})
-			},
-		}
+		}, func(block, warp int) []Access {
+			return []Access{
+				{ComputeCycles: 3, Addrs: []uint64{arr.Addr(block * 100), arr.Addr(block*100 + 1)}},
+				{ComputeCycles: 1},
+				{ComputeCycles: 9, Addrs: []uint64{arr.Addr(warp)}, Store: true},
+			}
+		})
 	}
 	return &Workload{
 		Name:      "sample",
@@ -32,6 +31,25 @@ func sampleWorkload() *Workload {
 		Kernels:   []Kernel{mk("k0", 3), mk("k1", 1)},
 		Irregular: true,
 	}
+}
+
+// withAccesses gives test kernel k the warp streams gen returns, twice
+// over: NewWarpStream replays them as SliceStreams, the reference that
+// never touches a Builder, and Emit writes them through a Builder, one
+// whole access at a time, for Compile.
+func withAccesses(k Kernel, gen func(block, warp int) []Access) Kernel {
+	k.NewWarpStream = func(block, warp int) WarpStream {
+		return NewSliceStream(gen(block, warp))
+	}
+	k.Emit = func(b *Builder, block, warp int) {
+		for _, a := range gen(block, warp) {
+			for _, addr := range a.Addrs {
+				b.Addr(addr)
+			}
+			b.EndAccess(a.ComputeCycles, a.Store)
+		}
+	}
+	return k
 }
 
 func drainAll(w *Workload) []Access { return drainAllWarp(w, 32) }

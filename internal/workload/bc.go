@@ -30,23 +30,21 @@ func buildBC(p Params) *trace.Workload {
 			depth := uint32(d)
 			kernels = append(kernels, threadCentricKernel(
 				fmt.Sprintf("bc-s%d-fwd-L%d", si, d), b,
-				func(v uint32) []op {
-					lane := []op{{addr: level.Addr(int(v))}}
+				func(tb *trace.Builder, v uint32) {
+					tb.Load(level.Addr(int(v)))
 					if levels[v] != depth {
-						return lane
+						return
 					}
-					lane = append(lane, op{addr: sigma.Addr(int(v))})
-					b.loadOffsets(v, &lane)
-					b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-						*lane = append(*lane, op{addr: level.Addr(int(dst))})
+					tb.Load(sigma.Addr(int(v)))
+					b.loadOffsets(tb, v)
+					b.edgeOpsThread(tb, v, func(dst uint32) {
+						tb.Load(level.Addr(int(dst)))
 						if levels[dst] == depth+1 {
-							*lane = append(*lane,
-								op{addr: level.Addr(int(dst)), store: true},
-								op{addr: sigma.Addr(int(dst))},
-								op{addr: sigma.Addr(int(dst)), store: true})
+							tb.Store(level.Addr(int(dst)))
+							tb.Load(sigma.Addr(int(dst)))
+							tb.Store(sigma.Addr(int(dst)))
 						}
 					})
-					return lane
 				}))
 		}
 
@@ -55,28 +53,24 @@ func buildBC(p Params) *trace.Workload {
 			depth := uint32(d)
 			kernels = append(kernels, threadCentricKernel(
 				fmt.Sprintf("bc-s%d-bwd-L%d", si, d), b,
-				func(v uint32) []op {
-					lane := []op{{addr: level.Addr(int(v))}}
+				func(tb *trace.Builder, v uint32) {
+					tb.Load(level.Addr(int(v)))
 					if levels[v] != depth {
-						return lane
+						return
 					}
-					lane = append(lane,
-						op{addr: sigma.Addr(int(v))},
-						op{addr: delta.Addr(int(v))})
-					b.loadOffsets(v, &lane)
-					b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-						*lane = append(*lane, op{addr: level.Addr(int(dst))})
+					tb.Load(sigma.Addr(int(v)))
+					tb.Load(delta.Addr(int(v)))
+					b.loadOffsets(tb, v)
+					b.edgeOpsThread(tb, v, func(dst uint32) {
+						tb.Load(level.Addr(int(dst)))
 						if levels[dst] == depth+1 {
-							*lane = append(*lane,
-								op{addr: sigma.Addr(int(dst))},
-								op{addr: delta.Addr(int(dst))})
+							tb.Load(sigma.Addr(int(dst)))
+							tb.Load(delta.Addr(int(dst)))
 						}
 					})
-					lane = append(lane,
-						op{addr: delta.Addr(int(v)), store: true},
-						op{addr: bcArr.Addr(int(v))},
-						op{addr: bcArr.Addr(int(v)), store: true})
-					return lane
+					tb.Store(delta.Addr(int(v)))
+					tb.Load(bcArr.Addr(int(v)))
+					tb.Store(bcArr.Addr(int(v)))
 				}))
 		}
 	}

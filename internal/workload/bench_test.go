@@ -66,7 +66,7 @@ func BenchmarkWarpStreamGeneration(b *testing.B) {
 	k := w.Kernels[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := k.NewWarpStream(i%k.Blocks, i%k.WarpsPerBlock(32))
+		st := k.Stream(i%k.Blocks, i%k.WarpsPerBlock(32))
 		for {
 			if _, ok := st.Next(); !ok {
 				break

@@ -23,19 +23,18 @@ func buildBFSTTC(p Params) *trace.Workload {
 		depth := uint32(d)
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("bfs-ttc-L%d", d), b,
-			func(v uint32) []op {
-				lane := []op{{addr: level.Addr(int(v))}} // status check
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(level.Addr(int(v))) // status check
 				if levels[v] != depth {
-					return lane
+					return
 				}
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-					*lane = append(*lane, op{addr: level.Addr(int(dst))})
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
+					tb.Load(level.Addr(int(dst)))
 					if levels[dst] == depth+1 {
-						*lane = append(*lane, op{addr: level.Addr(int(dst)), store: true})
+						tb.Store(level.Addr(int(dst)))
 					}
 				})
-				return lane
 			}))
 	}
 	return &trace.Workload{Name: "BFS-TTC", Space: b.sp, Kernels: kernels, Irregular: true}
@@ -53,24 +52,22 @@ func buildBFSTA(p Params) *trace.Workload {
 		depth := uint32(d)
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("bfs-ta-L%d", d), b,
-			func(v uint32) []op {
-				lane := []op{{addr: level.Addr(int(v))}}
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(level.Addr(int(v)))
 				if levels[v] != depth {
-					return lane
+					return
 				}
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-					*lane = append(*lane, op{addr: level.Addr(int(dst))})
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
+					tb.Load(level.Addr(int(dst)))
 					if levels[dst] > depth {
 						// atomicCAS: a full read-modify-write on the
 						// destination, issued by every parent (not just
 						// the winner).
-						*lane = append(*lane,
-							op{addr: level.Addr(int(dst))},
-							op{addr: level.Addr(int(dst)), store: true})
+						tb.Load(level.Addr(int(dst)))
+						tb.Store(level.Addr(int(dst)))
 					}
 				})
-				return lane
 			}))
 	}
 	return &trace.Workload{Name: "BFS-TA", Space: b.sp, Kernels: kernels, Irregular: true}
@@ -89,24 +86,20 @@ func buildBFSTF(p Params) *trace.Workload {
 		depth := uint32(d)
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("bfs-tf-L%d", d), b,
-			func(v uint32) []op {
-				lane := []op{
-					{addr: front.Addr(int(v))},             // am I in the frontier?
-					{addr: next.Addr(int(v)), store: true}, // clear my next flag
-				}
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(front.Addr(int(v))) // am I in the frontier?
+				tb.Store(next.Addr(int(v))) // clear my next flag
 				if levels[v] != depth {
-					return lane
+					return
 				}
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-					*lane = append(*lane, op{addr: level.Addr(int(dst))})
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
+					tb.Load(level.Addr(int(dst)))
 					if levels[dst] == depth+1 {
-						*lane = append(*lane,
-							op{addr: level.Addr(int(dst)), store: true},
-							op{addr: next.Addr(int(dst)), store: true})
+						tb.Store(level.Addr(int(dst)))
+						tb.Store(next.Addr(int(dst)))
 					}
 				})
-				return lane
 			}))
 	}
 	return &trace.Workload{Name: "BFS-TF", Space: b.sp, Kernels: kernels, Irregular: true}
@@ -127,23 +120,22 @@ func buildBFSTWC(p Params) *trace.Workload {
 		depth := uint32(d)
 		kernels = append(kernels, warpCentricKernel(
 			fmt.Sprintf("bfs-twc-L%d", d), b, all,
-			func(v uint32, lane int) []op {
-				var ops []op
+			func(tb *trace.Builder, v uint32, lane int) {
 				if lane == 0 {
-					ops = append(ops, op{addr: level.Addr(int(v))})
+					tb.Load(level.Addr(int(v)))
 				}
 				if levels[v] != depth {
-					return ops
+					return
 				}
 				if lane == 0 {
-					b.loadOffsets(v, &ops)
+					b.loadOffsets(tb, v)
 				}
-				return append(ops, b.edgeOpsWarp(v, lane, func(dst uint32, ops *[]op) {
-					*ops = append(*ops, op{addr: level.Addr(int(dst))})
+				b.edgeOpsWarp(tb, v, lane, func(dst uint32) {
+					tb.Load(level.Addr(int(dst)))
 					if levels[dst] == depth+1 {
-						*ops = append(*ops, op{addr: level.Addr(int(dst)), store: true})
+						tb.Store(level.Addr(int(dst)))
 					}
-				})...)
+				})
 			}))
 	}
 	return &trace.Workload{Name: "BFS-TWC", Space: b.sp, Kernels: kernels, Irregular: true}
@@ -160,6 +152,19 @@ func buildBFSDWC(p Params) *trace.Workload {
 	maxQ := b.g.NumVertices()
 	qA := b.sp.Alloc("queueA", 4, maxQ)
 	qB := b.sp.Alloc("queueB", 4, maxQ)
+	// queuePos[v] is v's slot in the queue of its own level (its index in
+	// frontiers[levels[v]]), or -1 if v is unreached. A level-d vertex
+	// pops from that slot of the in-queue; a vertex it discovers is
+	// pushed to that vertex's slot of the out-queue.
+	queuePos := make([]int32, b.g.NumVertices())
+	for i := range queuePos {
+		queuePos[i] = -1
+	}
+	for _, frontier := range frontiers {
+		for i, v := range frontier {
+			queuePos[v] = int32(i)
+		}
+	}
 	var kernels []trace.Kernel
 	for d, frontier := range frontiers {
 		depth := uint32(d)
@@ -167,36 +172,21 @@ func buildBFSDWC(p Params) *trace.Workload {
 		if d%2 == 1 {
 			inQ, outQ = qB, qA
 		}
-		// Queue positions assigned to discovered vertices this level.
-		outPos := make(map[uint32]int)
-		if d+1 < len(frontiers) {
-			for i, v := range frontiers[d+1] {
-				outPos[v] = i
-			}
-		}
-		work := frontier
-		posOf := make(map[uint32]int, len(work))
-		for i, v := range work {
-			posOf[v] = i
-		}
 		kernels = append(kernels, warpCentricKernel(
-			fmt.Sprintf("bfs-dwc-L%d", d), b, work,
-			func(v uint32, lane int) []op {
-				var ops []op
+			fmt.Sprintf("bfs-dwc-L%d", d), b, frontier,
+			func(tb *trace.Builder, v uint32, lane int) {
 				if lane == 0 {
 					// Pop the vertex from the in-queue.
-					ops = append(ops, op{addr: inQ.Addr(posOf[v])})
-					b.loadOffsets(v, &ops)
+					tb.Load(inQ.Addr(int(queuePos[v])))
+					b.loadOffsets(tb, v)
 				}
-				return append(ops, b.edgeOpsWarp(v, lane, func(dst uint32, ops *[]op) {
-					*ops = append(*ops, op{addr: level.Addr(int(dst))})
+				b.edgeOpsWarp(tb, v, lane, func(dst uint32) {
+					tb.Load(level.Addr(int(dst)))
 					if levels[dst] == depth+1 {
-						*ops = append(*ops, op{addr: level.Addr(int(dst)), store: true})
-						if pos, ok := outPos[dst]; ok {
-							*ops = append(*ops, op{addr: outQ.Addr(pos), store: true})
-						}
+						tb.Store(level.Addr(int(dst)))
+						tb.Store(outQ.Addr(int(queuePos[dst])))
 					}
-				})...)
+				})
 			}))
 	}
 	return &trace.Workload{Name: "BFS-DWC", Space: b.sp, Kernels: kernels, Irregular: true}

@@ -6,37 +6,6 @@ import (
 	"uvmsim/internal/trace"
 )
 
-// op is one per-lane memory operation.
-type op struct {
-	addr  uint64
-	store bool
-}
-
-// lockstep merges per-lane operation sequences into SIMT warp accesses:
-// position j of every lane executes together, with inactive (shorter)
-// lanes simply absent — the standard reconvergence-free divergence model.
-func lockstep(lanes [][]op, computePerOp uint64) []trace.Access {
-	maxLen := 0
-	for _, l := range lanes {
-		if len(l) > maxLen {
-			maxLen = len(l)
-		}
-	}
-	accs := make([]trace.Access, 0, maxLen)
-	for j := 0; j < maxLen; j++ {
-		var addrs []uint64
-		store := false
-		for _, l := range lanes {
-			if j < len(l) {
-				addrs = append(addrs, l[j].addr)
-				store = store || l[j].store
-			}
-		}
-		accs = append(accs, trace.Access{ComputeCycles: computePerOp, Addrs: addrs, Store: store})
-	}
-	return accs
-}
-
 // gbase holds a graph workload's input graph and address-space layout.
 type gbase struct {
 	p       Params
@@ -85,43 +54,40 @@ func (b *gbase) prop(name string) layout.Array {
 	return a
 }
 
-// loadOffsets emits the two offset loads (begin and end) for vertex v.
-func (b *gbase) loadOffsets(v uint32, lane *[]op) {
-	*lane = append(*lane, op{addr: b.offsets.Addr(int(v))}, op{addr: b.offsets.Addr(int(v) + 1)})
+// loadOffsets emits the current lane's two offset loads (begin and end)
+// for vertex v.
+func (b *gbase) loadOffsets(tb *trace.Builder, v uint32) {
+	tb.Load(b.offsets.Addr(int(v)))
+	tb.Load(b.offsets.Addr(int(v) + 1))
 }
 
 // threadCentricKernel builds a kernel with one thread per vertex. laneOps
-// returns the operation sequence of the thread owning vertex v; returning
-// nil models an inactive thread (it still executes the guard load emitted
-// by the caller inside laneOps if it wants one).
-func threadCentricKernel(name string, b *gbase, laneOps func(v uint32) []op) trace.Kernel {
+// emits, into tb, the operation sequence of the thread owning vertex v.
+func threadCentricKernel(name string, b *gbase, laneOps func(tb *trace.Builder, v uint32)) trace.Kernel {
 	tpb := b.p.ThreadsPerBlock
 	n := b.g.NumVertices()
 	blocks := (n + tpb - 1) / tpb
+	compute := uint64(b.p.ComputeCycles)
 	return trace.Kernel{
 		Name:            name,
 		Blocks:          blocks,
 		ThreadsPerBlock: tpb,
 		RegsPerThread:   b.p.RegsPerThread,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
+		Emit: func(tb *trace.Builder, block, warp int) {
 			base := block*tpb + warp*32
-			lanes := make([][]op, 0, 32)
-			for lane := 0; lane < 32; lane++ {
-				v := base + lane
-				if v >= n {
-					break
-				}
-				lanes = append(lanes, laneOps(uint32(v)))
+			for v := base; v < base+32 && v < n; v++ {
+				laneOps(tb, uint32(v))
+				tb.EndLane()
 			}
-			return trace.NewSliceStream(lockstep(lanes, uint64(b.p.ComputeCycles)))
+			tb.Lockstep(compute)
 		},
 	}
 }
 
 // warpCentricKernel builds a kernel where warps cooperatively process a
 // work list of vertices: warp w handles work[w], work[w+W], ... and for
-// each vertex the 32 lanes split the work via perVertex(v, lane).
-func warpCentricKernel(name string, b *gbase, work []uint32, perVertex func(v uint32, lane int) []op) trace.Kernel {
+// each vertex the 32 lanes split the work via perVertex(tb, v, lane).
+func warpCentricKernel(name string, b *gbase, work []uint32, perVertex func(tb *trace.Builder, v uint32, lane int)) trace.Kernel {
 	tpb := b.p.ThreadsPerBlock
 	warpsPerBlock := tpb / 32
 	// Grid sized as GraphBIG does: enough blocks to give each warp a
@@ -131,45 +97,41 @@ func warpCentricKernel(name string, b *gbase, work []uint32, perVertex func(v ui
 		blocks = 1
 	}
 	totalWarps := blocks * warpsPerBlock
+	compute := uint64(b.p.ComputeCycles)
 	return trace.Kernel{
 		Name:            name,
 		Blocks:          blocks,
 		ThreadsPerBlock: tpb,
 		RegsPerThread:   b.p.RegsPerThread,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			gw := block*warpsPerBlock + warp
-			var accs []trace.Access
-			for i := gw; i < len(work); i += totalWarps {
+		Emit: func(tb *trace.Builder, block, warp int) {
+			for i := block*warpsPerBlock + warp; i < len(work); i += totalWarps {
 				v := work[i]
-				lanes := make([][]op, 0, 32)
 				for lane := 0; lane < 32; lane++ {
-					lanes = append(lanes, perVertex(v, lane))
+					perVertex(tb, v, lane)
+					tb.EndLane()
 				}
-				accs = append(accs, lockstep(lanes, uint64(b.p.ComputeCycles))...)
+				tb.Lockstep(compute)
 			}
-			return trace.NewSliceStream(accs)
 		},
 	}
 }
 
-// edgeOpsThread emits a thread-serial edge scan for vertex v: for each
-// out-edge, load the edge, then apply visit(dst) ops.
-func (b *gbase) edgeOpsThread(v uint32, lane *[]op, visit func(dst uint32, lane *[]op)) {
+// edgeOpsThread emits a thread-serial edge scan of vertex v into the
+// current lane: for each out-edge, load the edge, then visit(dst).
+func (b *gbase) edgeOpsThread(tb *trace.Builder, v uint32, visit func(dst uint32)) {
 	begin, end := b.g.EdgeRange(v)
 	for e := begin; e < end; e++ {
-		*lane = append(*lane, op{addr: b.edges.Addr(int(e))})
-		visit(b.g.Edges[e], lane)
+		tb.Load(b.edges.Addr(int(e)))
+		visit(b.g.Edges[e])
 	}
 }
 
 // edgeOpsWarp emits lane's share of a warp-parallel edge scan of vertex v
 // (lanes take edges lane, lane+32, ...).
-func (b *gbase) edgeOpsWarp(v uint32, lane int, visit func(dst uint32, lane *[]op)) []op {
+func (b *gbase) edgeOpsWarp(tb *trace.Builder, v uint32, lane int, visit func(dst uint32)) {
 	begin, end := b.g.EdgeRange(v)
-	var ops []op
 	for e := begin + uint32(lane); e < end; e += 32 {
-		ops = append(ops, op{addr: b.edges.Addr(int(e))})
-		visit(b.g.Edges[e], &ops)
+		tb.Load(b.edges.Addr(int(e)))
+		visit(b.g.Edges[e])
 	}
-	return ops
 }

@@ -36,23 +36,22 @@ func buildCC(p Params) *trace.Workload {
 		round := r
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("cc-R%d", r), b,
-			func(v uint32) []op {
-				lane := []op{{addr: label.Addr(int(v))}}
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-					*lane = append(*lane, op{addr: label.Addr(int(dst))})
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(label.Addr(int(v)))
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
+					tb.Load(label.Addr(int(dst)))
 				})
 				if changedAt[round][v] {
-					lane = append(lane, op{addr: label.Addr(int(v)), store: true})
+					tb.Store(label.Addr(int(v)))
 				}
-				return lane
 			}))
 	}
 	if len(kernels) == 0 {
 		// A graph with no edges converges instantly; emit one sweep so
 		// the workload is still runnable.
 		kernels = append(kernels, threadCentricKernel("cc-R0", b,
-			func(v uint32) []op { return []op{{addr: label.Addr(int(v))}} }))
+			func(tb *trace.Builder, v uint32) { tb.Load(label.Addr(int(v))) }))
 	}
 	return &trace.Workload{Name: "CC", Space: b.sp, Kernels: kernels, Irregular: true}
 }
@@ -69,10 +68,9 @@ func buildTC(p Params) *trace.Workload {
 		all[i] = uint32(i)
 	}
 	k := warpCentricKernel("tc", b, all,
-		func(v uint32, lane int) []op {
-			var ops []op
+		func(tb *trace.Builder, v uint32, lane int) {
 			if lane == 0 {
-				b.loadOffsets(v, &ops)
+				b.loadOffsets(tb, v)
 			}
 			begin, end := b.g.EdgeRange(v)
 			for e := begin + uint32(lane); e < end; e += 32 {
@@ -80,20 +78,18 @@ func buildTC(p Params) *trace.Workload {
 				if u <= v {
 					continue
 				}
-				ops = append(ops, op{addr: b.edges.Addr(int(e))})
+				tb.Load(b.edges.Addr(int(e)))
 				// Intersection walk: read u's neighbor list.
-				ops = append(ops, op{addr: b.offsets.Addr(int(u))}, op{addr: b.offsets.Addr(int(u) + 1)})
+				b.loadOffsets(tb, u)
 				ub, ue := b.g.EdgeRange(u)
 				// Cap the scan the way warp-cooperative TC kernels do:
 				// lanes stride the smaller list.
 				for ee := ub; ee < ue; ee += 8 {
-					ops = append(ops, op{addr: b.edges.Addr(int(ee))})
+					tb.Load(b.edges.Addr(int(ee)))
 				}
-				ops = append(ops,
-					op{addr: count.Addr(int(v))},
-					op{addr: count.Addr(int(v)), store: true})
+				tb.Load(count.Addr(int(v)))
+				tb.Store(count.Addr(int(v)))
 			}
-			return ops
 		})
 	return &trace.Workload{Name: "TC", Space: b.sp, Kernels: []trace.Kernel{k}, Irregular: true}
 }
@@ -105,18 +101,14 @@ func buildDC(p Params) *trace.Workload {
 	b := newGraphBase(p, false, "degree")
 	degree := b.prop("degree")
 	k := threadCentricKernel("dc", b,
-		func(v uint32) []op {
-			var lane []op
-			b.loadOffsets(v, &lane)
-			lane = append(lane,
-				op{addr: degree.Addr(int(v))},
-				op{addr: degree.Addr(int(v)), store: true})
-			b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-				*lane = append(*lane,
-					op{addr: degree.Addr(int(dst))},
-					op{addr: degree.Addr(int(dst)), store: true})
+		func(tb *trace.Builder, v uint32) {
+			b.loadOffsets(tb, v)
+			tb.Load(degree.Addr(int(v)))
+			tb.Store(degree.Addr(int(v)))
+			b.edgeOpsThread(tb, v, func(dst uint32) {
+				tb.Load(degree.Addr(int(dst)))
+				tb.Store(degree.Addr(int(dst)))
 			})
-			return lane
 		})
 	return &trace.Workload{Name: "DC", Space: b.sp, Kernels: []trace.Kernel{k}, Irregular: true}
 }

@@ -28,7 +28,7 @@ func drainTraffic(t *testing.T, w *trace.Workload) (lanes, stores int) {
 	for _, k := range w.Kernels {
 		for blk := 0; blk < k.Blocks; blk++ {
 			for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-				st := k.NewWarpStream(blk, wp)
+				st := k.Stream(blk, wp)
 				for {
 					acc, ok := st.Next()
 					if !ok {
@@ -102,7 +102,7 @@ func TestSSSPTouchesWeights(t *testing.T) {
 	for _, k := range w.Kernels {
 		for blk := 0; blk < k.Blocks && !touched; blk++ {
 			for wp := 0; wp < k.WarpsPerBlock(32) && !touched; wp++ {
-				st := k.NewWarpStream(blk, wp)
+				st := k.Stream(blk, wp)
 				for {
 					acc, ok := st.Next()
 					if !ok {

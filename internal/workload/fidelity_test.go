@@ -18,7 +18,7 @@ func laneOpsPerKernel(w *trace.Workload) []int {
 	for ki, k := range w.Kernels {
 		for b := 0; b < k.Blocks; b++ {
 			for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-				st := k.NewWarpStream(b, wp)
+				st := k.Stream(b, wp)
 				for {
 					acc, ok := st.Next()
 					if !ok {

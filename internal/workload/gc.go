@@ -59,20 +59,19 @@ func buildGCTTC(p Params) *trace.Workload {
 		round := r
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("gc-ttc-R%d", r), b,
-			func(v uint32) []op {
-				lane := []op{{addr: color.Addr(int(v))}}
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(color.Addr(int(v)))
 				if st.coloredAt[v] < round {
-					return lane // already colored: guard load only
+					return // already colored: guard load only
 				}
 				// Uncolored: inspect neighbor colors/priorities.
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-					*lane = append(*lane, op{addr: color.Addr(int(dst))})
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
+					tb.Load(color.Addr(int(dst)))
 				})
 				if st.coloredAt[v] == round {
-					lane = append(lane, op{addr: color.Addr(int(v)), store: true})
+					tb.Store(color.Addr(int(v)))
 				}
-				return lane
 			}))
 	}
 	return &trace.Workload{Name: "GC-TTC", Space: b.sp, Kernels: kernels, Irregular: true}
@@ -100,6 +99,7 @@ func buildGCDTC(p Params) *trace.Workload {
 	}
 
 	tpb := b.p.ThreadsPerBlock
+	compute := uint64(b.p.ComputeCycles)
 	var kernels []trace.Kernel
 	for r := 0; r < nRounds; r++ {
 		round := r
@@ -113,29 +113,24 @@ func buildGCDTC(p Params) *trace.Workload {
 			Blocks:          blocks,
 			ThreadsPerBlock: tpb,
 			RegsPerThread:   b.p.RegsPerThread,
-			NewWarpStream: func(block, warp int) trace.WarpStream {
+			Emit: func(tb *trace.Builder, block, warp int) {
 				base := block*tpb + warp*32
-				lanes := make([][]op, 0, 32)
-				for laneID := 0; laneID < 32; laneID++ {
-					i := base + laneID
-					if i >= len(work) {
-						break
-					}
+				for i := base; i < base+32 && i < len(work); i++ {
 					v := work[i]
-					lane := []op{{addr: worklist.Addr(i)}} // pop work item
-					b.loadOffsets(v, &lane)
-					b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-						*lane = append(*lane, op{addr: color.Addr(int(dst))})
+					tb.Load(worklist.Addr(i)) // pop work item
+					b.loadOffsets(tb, v)
+					b.edgeOpsThread(tb, v, func(dst uint32) {
+						tb.Load(color.Addr(int(dst)))
 					})
 					if st.coloredAt[v] == round {
-						lane = append(lane, op{addr: color.Addr(int(v)), store: true})
+						tb.Store(color.Addr(int(v)))
 					} else {
 						// Still uncolored: re-enqueue for the next round.
-						lane = append(lane, op{addr: worklist.Addr(i), store: true})
+						tb.Store(worklist.Addr(i))
 					}
-					lanes = append(lanes, lane)
+					tb.EndLane()
 				}
-				return trace.NewSliceStream(lockstep(lanes, uint64(b.p.ComputeCycles)))
+				tb.Lockstep(compute)
 			},
 		})
 	}

@@ -35,27 +35,23 @@ func buildKCore(p Params) *trace.Workload {
 		round := r
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("kcore-R%d", r), b,
-			func(v uint32) []op {
-				lane := []op{
-					{addr: alive.Addr(int(v))},
-					{addr: degree.Addr(int(v))},
-				}
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(alive.Addr(int(v)))
+				tb.Load(degree.Addr(int(v)))
 				if removedAt[v] != round {
-					return lane
+					return
 				}
 				// Peel: mark dead, decrement live out-neighbors.
-				lane = append(lane, op{addr: alive.Addr(int(v)), store: true})
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
-					*lane = append(*lane, op{addr: alive.Addr(int(dst))})
+				tb.Store(alive.Addr(int(v)))
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
+					tb.Load(alive.Addr(int(dst)))
 					if removedAt[dst] == -1 || removedAt[dst] >= round {
 						// Neighbor still alive: atomic decrement.
-						*lane = append(*lane,
-							op{addr: degree.Addr(int(dst))},
-							op{addr: degree.Addr(int(dst)), store: true})
+						tb.Load(degree.Addr(int(dst)))
+						tb.Store(degree.Addr(int(dst)))
 					}
 				})
-				return lane
 			}))
 	}
 	return &trace.Workload{Name: "KCORE", Space: b.sp, Kernels: kernels, Irregular: true}

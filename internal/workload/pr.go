@@ -19,26 +19,21 @@ func buildPR(p Params) *trace.Workload {
 	for it := 0; it < p.PRIterations; it++ {
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("pr-push-I%d", it), b,
-			func(v uint32) []op {
-				lane := []op{{addr: rank.Addr(int(v))}}
-				b.loadOffsets(v, &lane)
-				b.edgeOpsThread(v, &lane, func(dst uint32, lane *[]op) {
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(rank.Addr(int(v)))
+				b.loadOffsets(tb, v)
+				b.edgeOpsThread(tb, v, func(dst uint32) {
 					// atomicAdd on the destination accumulator.
-					lane2 := append(*lane,
-						op{addr: next.Addr(int(dst))},
-						op{addr: next.Addr(int(dst)), store: true})
-					*lane = lane2
+					tb.Load(next.Addr(int(dst)))
+					tb.Store(next.Addr(int(dst)))
 				})
-				return lane
 			}))
 		kernels = append(kernels, threadCentricKernel(
 			fmt.Sprintf("pr-norm-I%d", it), b,
-			func(v uint32) []op {
-				return []op{
-					{addr: next.Addr(int(v))},
-					{addr: rank.Addr(int(v)), store: true},
-					{addr: next.Addr(int(v)), store: true}, // reset accumulator
-				}
+			func(tb *trace.Builder, v uint32) {
+				tb.Load(next.Addr(int(v)))
+				tb.Store(rank.Addr(int(v)))
+				tb.Store(next.Addr(int(v))) // reset accumulator
 			}))
 	}
 	return &trace.Workload{Name: "PR", Space: b.sp, Kernels: kernels, Irregular: true}

@@ -51,10 +51,9 @@ func buildRegular(name string, p Params) *trace.Workload {
 		Blocks:          blocks,
 		ThreadsPerBlock: tpb,
 		RegsPerThread:   p.RegsPerThread,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
+		Emit: func(tb *trace.Builder, block, warp int) {
 			warpsPerBlock := tpb / 32
 			base := block * tile
-			var accs []trace.Access
 			size := tile
 			for pass := 0; pass < shape.passes; pass++ {
 				if shape.shrink && pass > 0 {
@@ -63,7 +62,6 @@ func buildRegular(name string, p Params) *trace.Workload {
 				// Each warp strides through its block's tile.
 				for i := warp * 32; i < size; i += warpsPerBlock * 32 {
 					for ai, arr := range arrays {
-						var addrs []uint64
 						for lane := 0; lane < 32 && i+lane < size; lane++ {
 							idx := base + i + lane
 							if shape.halo > 0 && ai == 0 {
@@ -73,17 +71,13 @@ func buildRegular(name string, p Params) *trace.Workload {
 									idx = arr.Len - 1
 								}
 							}
-							addrs = append(addrs, arr.Addr(idx))
+							tb.Addr(arr.Addr(idx))
 						}
-						accs = append(accs, trace.Access{
-							ComputeCycles: uint64(p.ComputeCycles),
-							Addrs:         addrs,
-							Store:         ai == len(arrays)-1, // last array is output
-						})
+						// The last array is the output.
+						tb.EndAccess(uint64(p.ComputeCycles), ai == len(arrays)-1)
 					}
 				}
 			}
-			return trace.NewSliceStream(accs)
 		},
 	}
 	return &trace.Workload{Name: name, Space: sp, Kernels: []trace.Kernel{k}, Irregular: false}

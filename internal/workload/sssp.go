@@ -23,49 +23,46 @@ func buildSSSPTWC(p Params) *trace.Workload {
 		all[i] = uint32(i)
 	}
 
-	var kernels []trace.Kernel
-	for rIdx, round := range rounds {
-		// activeSet: vertices relaxing this round; changedSet: vertices
-		// whose distance improves (they become next round's active set).
-		activeSet := make(map[uint32]bool, len(round))
-		for _, v := range round {
-			activeSet[v] = true
-		}
-		changedSet := make(map[uint32]bool)
-		if rIdx+1 < len(rounds) {
-			for _, v := range rounds[rIdx+1] {
-				changedSet[v] = true
+	// inRound[r][v] marks v active in round r; one extra all-false round
+	// follows the last. Round r relaxes inRound[r], and the vertices whose
+	// distance improves are next round's active set, inRound[r+1].
+	inRound := make([][]bool, len(rounds)+1)
+	for r := range inRound {
+		inRound[r] = make([]bool, b.g.NumVertices())
+		if r < len(rounds) {
+			for _, v := range rounds[r] {
+				inRound[r][v] = true
 			}
 		}
+	}
+
+	var kernels []trace.Kernel
+	for rIdx := range rounds {
+		active, changed := inRound[rIdx], inRound[rIdx+1]
 		kernels = append(kernels, warpCentricKernel(
 			fmt.Sprintf("sssp-twc-R%d", rIdx), b, all,
-			func(v uint32, lane int) []op {
-				var ops []op
+			func(tb *trace.Builder, v uint32, lane int) {
 				if lane == 0 {
-					ops = append(ops, op{addr: activeArr.Addr(int(v))})
+					tb.Load(activeArr.Addr(int(v)))
 				}
-				if !activeSet[v] {
-					return ops
+				if !active[v] {
+					return
 				}
 				if lane == 0 {
-					ops = append(ops, op{addr: dist.Addr(int(v))})
-					b.loadOffsets(v, &ops)
+					tb.Load(dist.Addr(int(v)))
+					b.loadOffsets(tb, v)
 				}
 				begin, end := b.g.EdgeRange(v)
 				for e := begin + uint32(lane); e < end; e += 32 {
 					dst := b.g.Edges[e]
-					ops = append(ops,
-						op{addr: b.edges.Addr(int(e))},
-						op{addr: b.weights.Addr(int(e))},
-						op{addr: dist.Addr(int(dst))}, // atomicMin read
-					)
-					if changedSet[dst] {
-						ops = append(ops,
-							op{addr: dist.Addr(int(dst)), store: true},
-							op{addr: activeArr.Addr(int(dst)), store: true})
+					tb.Load(b.edges.Addr(int(e)))
+					tb.Load(b.weights.Addr(int(e)))
+					tb.Load(dist.Addr(int(dst))) // atomicMin read
+					if changed[dst] {
+						tb.Store(dist.Addr(int(dst)))
+						tb.Store(activeArr.Addr(int(dst)))
 					}
 				}
-				return ops
 			}))
 	}
 	return &trace.Workload{Name: "SSSP-TWC", Space: b.sp, Kernels: kernels, Irregular: true}

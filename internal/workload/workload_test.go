@@ -66,7 +66,7 @@ func addressesInSpace(t *testing.T, w *trace.Workload) (totalAccesses int) {
 	for _, k := range w.Kernels {
 		for blk := 0; blk < k.Blocks; blk++ {
 			for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-				st := k.NewWarpStream(blk, wp)
+				st := k.Stream(blk, wp)
 				for {
 					acc, ok := st.Next()
 					if !ok {
@@ -105,8 +105,8 @@ func TestAllAddressesInsideSpace(t *testing.T) {
 }
 
 func TestStreamsArePure(t *testing.T) {
-	// NewWarpStream must return identical streams each call (the simulator
-	// and the working-set analyzer both create them).
+	// Stream must return identical streams each call (the simulator and
+	// the working-set analyzer both create them).
 	p := smallParams()
 	p.Vertices = 512
 	w, err := Build("BFS-TTC", p)
@@ -116,7 +116,7 @@ func TestStreamsArePure(t *testing.T) {
 	k := w.Kernels[0]
 	drain := func() []trace.Access {
 		var out []trace.Access
-		st := k.NewWarpStream(0, 0)
+		st := k.Stream(0, 0)
 		for {
 			a, ok := st.Next()
 			if !ok {
@@ -191,27 +191,6 @@ func TestRegularBlocksMostlyDisjoint(t *testing.T) {
 	}
 }
 
-func TestLockstepMergesLanes(t *testing.T) {
-	lanes := [][]op{
-		{{addr: 1}, {addr: 2}, {addr: 3}},
-		{{addr: 10}},
-		{{addr: 20}, {addr: 21, store: true}},
-	}
-	accs := lockstep(lanes, 5)
-	if len(accs) != 3 {
-		t.Fatalf("lockstep produced %d accesses, want 3", len(accs))
-	}
-	if len(accs[0].Addrs) != 3 || len(accs[1].Addrs) != 2 || len(accs[2].Addrs) != 1 {
-		t.Fatalf("lane counts = %d,%d,%d", len(accs[0].Addrs), len(accs[1].Addrs), len(accs[2].Addrs))
-	}
-	if !accs[1].Store {
-		t.Fatal("store flag lost in merge")
-	}
-	if accs[0].ComputeCycles != 5 {
-		t.Fatal("compute cycles not propagated")
-	}
-}
-
 func TestBFSVariantsDifferInTraffic(t *testing.T) {
 	// The variants must not degenerate into the same trace: TA performs
 	// extra atomic stores versus TTC; TF touches frontier arrays.
@@ -227,7 +206,7 @@ func TestBFSVariantsDifferInTraffic(t *testing.T) {
 		for _, k := range w.Kernels {
 			for blk := 0; blk < k.Blocks; blk++ {
 				for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-					st := k.NewWarpStream(blk, wp)
+					st := k.Stream(blk, wp)
 					for {
 						acc, ok := st.Next()
 						if !ok {
