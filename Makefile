@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet test-race fuzz-artifact trace-smoke sweepd-smoke bench experiments experiments-par examples clean
+.PHONY: build test vet test-race fuzz-artifact trace-smoke bench experiments experiments-par examples clean
 
 build:
 	$(GO) build ./...
@@ -13,20 +13,21 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the packages that run concurrently: the sweep harness
-# (including the weighted fair queue), the experiment runner it drives,
-# the event engine underneath, and the sweep service (manifest
-# persistence, restart restore, TTL janitor). internal/core rides along
-# for the UVM-runtime regression tests; cmd/sweepctl drives the daemon's
-# HTTP surface end to end.
+# Race-check the packages that run concurrently: the sweep harness, the
+# experiment runner it drives, and the event engine underneath.
+# internal/core rides along for the UVM-runtime regression tests and the
+# worker-count byte-identity suite, internal/gpu for the cluster protocol
+# those workers execute, and internal/trace and internal/workload for
+# Kernel.Emit's contract that a warp may be emitted from concurrent
+# goroutines (same list CI runs).
 test-race:
-	$(GO) test -race -timeout 20m ./internal/harness ./internal/exp ./internal/sim ./internal/core ./internal/gpu ./internal/server ./cmd/sweepctl
+	$(GO) test -race -timeout 20m ./internal/harness ./internal/exp ./internal/sim ./internal/core ./internal/gpu ./internal/trace ./internal/workload
 
 # Coverage-guided fuzz of the UVMCMP1 compiled-trace decoder on top of
 # the committed corpus (internal/trace/testdata/fuzz). The harness
 # re-checksums mutated inputs so mutations reach the structural
 # validators, and replays every successful decode end to end (same leg
-# CI runs; see DESIGN.md §16).
+# CI runs; see DESIGN.md §15).
 fuzz-artifact:
 	$(GO) test -run '^$$' -fuzz FuzzReadCompiledArtifact -fuzztime 30s ./internal/trace
 
@@ -35,15 +36,6 @@ fuzz-artifact:
 trace-smoke:
 	$(GO) run ./cmd/uvmsim -workload BFS-TTC -policy to+ue -vertices 16384 -trace smoke.json > /dev/null
 	$(GO) run ./cmd/tracecheck smoke.json
-
-# Sweep-service smoke: build the real sweepd binary, race two clients
-# submitting the same grid, assert exactly-once execution and
-# byte-identical served summaries, then drain cleanly over HTTP; plus
-# the kill-and-restart leg — run a grid, SIGKILL the daemon, restart on
-# the same -cachedir, and require the grid to survive (same checks CI
-# runs; see DESIGN.md §15).
-sweepd-smoke:
-	$(GO) test -run 'TestSweepd' -v ./cmd/sweepd
 
 # The recorded artifacts: full test log and benchmark log.
 test_output.txt:

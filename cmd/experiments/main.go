@@ -84,9 +84,9 @@ func run() int {
 	resume := flag.Bool("resume", false, "reuse cached results from an earlier (possibly interrupted) sweep; implies -cachedir "+defaultCacheDir+" when unset")
 	benchJSON := flag.String("bench-json", "", "write sweep telemetry (wall time, speedup, cache hits) to this JSON file")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON execution trace per freshly-run job into this directory (cache hits are not traced)")
-	progressJSON := flag.String("progress-json", "", "stream one JSON line per finished job to this file ('-' for stderr) — the same event format sweepd serves")
+	progressJSON := flag.String("progress-json", "", "stream one JSON line per finished job (a harness.Event) to this file ('-' for stderr)")
 	compiled := flag.Bool("compiled", true, "replay workloads from compiled flat traces shared across jobs (identical results; -compiled=false regenerates streams live, using less memory)")
-	artifactDir := flag.String("artifact-dir", "auto", "on-disk compiled-trace artifact store shared with sweepd and cmd/uvmsim; \"auto\" = <cachedir>/artifacts when a cache is on (else off), \"off\" disables")
+	artifactDir := flag.String("artifact-dir", "auto", "on-disk compiled-trace artifact store, shareable with cmd/uvmsim -artifacts; \"auto\" = <cachedir>/artifacts when a cache is on (else off), \"off\" disables")
 	buildBytes := flag.Int64("build-cache-bytes", 0, "in-memory compiled-workload byte budget (LRU eviction past it); 0 = unbounded")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
@@ -175,7 +175,7 @@ func run() int {
 	defer stop()
 
 	// The shared base (Table 1 defaults + the anti-thrash cycle cap) comes
-	// from exp so sweepd submissions reproduce these grids byte for byte.
+	// from exp, the same base perfbench times these grids under.
 	r := exp.NewRunner(p, exp.DefaultBase())
 	r.Pool = pool
 	r.Par = pool.Par()

@@ -1,10 +1,10 @@
 // Command tracecheck structurally validates a Chrome trace-event JSON
-// file produced by the execution tracer (cmd/uvmsim -trace, the
-// harness's per-job TraceDir, or sweepd's trace store). It is the CI
-// smoke for the telemetry export; the checks themselves live in
-// telemetry.Check so any trace consumer can run them. Exit status 0
-// means Perfetto will load the file and the spans mean what DESIGN.md
-// §12 says they mean.
+// file produced by the execution tracer (cmd/uvmsim -trace, or
+// cmd/experiments -trace-dir through the harness's per-job TraceDir).
+// It is the CI smoke for the telemetry export; the checks themselves
+// live in telemetry.Check so any trace consumer can run them. Exit
+// status 0 means Perfetto will load the file and the spans mean what
+// DESIGN.md §12 says they mean.
 //
 // Usage: tracecheck file.json [file2.json ...]
 package main

@@ -46,7 +46,7 @@ func main() {
 	traceOut := flag.String("traceout", "", "write the workload's compiled trace (a UVMCMP1 artifact) to this file and exit")
 	traceIn := flag.String("tracein", "", "simulate a trace file (written by -traceout, or any .uvmcmp artifact-store entry) instead of building -workload")
 	execTrace := flag.String("trace", "", "write a Chrome trace-event JSON execution trace (Perfetto-loadable) to this file")
-	artifacts := flag.String("artifacts", "", "on-disk compiled-trace artifact store: load the workload's UVMCMP1 artifact when present, else build and persist it; share the directory with sweepd/experiments to skip their builds too")
+	artifacts := flag.String("artifacts", "", "on-disk compiled-trace artifact store: load the workload's UVMCMP1 artifact when present, else build and persist it; share the directory with cmd/experiments -artifact-dir to skip its builds too")
 	flag.Parse()
 
 	if *list {
@@ -231,9 +231,9 @@ func writeTrace(path string, c *trace.Compiled, key string) error {
 
 // compileWorkload returns the workload compiled at warpSize and its
 // artifact-store key. With a store directory it goes through the same
-// disk tier as experiments and sweepd: an artifact already stored (by
-// them or an earlier run) loads with no generation or compile work, and
-// a fresh build is persisted. Results are byte-identical either way.
+// disk tier as cmd/experiments: an artifact already stored (by it or an
+// earlier run) loads with no generation or compile work, and a fresh
+// build is persisted. Results are byte-identical either way.
 func compileWorkload(dir, name string, p workload.Params, warpSize int) (*trace.Compiled, string, error) {
 	hash, err := harness.HashParts(p)
 	if err != nil {

@@ -52,8 +52,8 @@ func (p Policy) String() string {
 
 // ParsePolicy maps a policy name — case-insensitively, so both the
 // figure labels Policy.String prints ("TO+UE") and the lowercase CLI
-// forms ("to+ue") parse — to its value. Shared by cmd/uvmsim's -policy
-// flag and sweepd's JSON submissions.
+// forms ("to+ue") parse — to its value. Used by cmd/uvmsim's -policy
+// flag.
 func ParsePolicy(s string) (Policy, error) {
 	for p, name := range policyNames {
 		if strings.EqualFold(s, name) {

@@ -258,8 +258,8 @@ func (r *Runner) Workload(name string) (*trace.Workload, error) {
 // (seed field zeroed, since the seed is derived *from* the hash), the
 // derived per-job seed stamped into the config, and the progress label.
 // Run, RunBatch and Jobs all build jobs here, so an inline run, a pooled
-// run and a job submitted over HTTP share one cache key, and worker count
-// never influences results.
+// run and a job from Jobs run through a bare pool share one cache key,
+// and worker count never influences results.
 func (r *Runner) job(sp RunSpec) (harness.Job, error) {
 	cfg := r.Base
 	if sp.Mutate != nil {

@@ -12,11 +12,11 @@ import (
 // path uses. table1, with neither a preset grid (submit.go) nor a
 // warmer, runs no simulations.
 //
-// The gridFigXX enumerations are shared with the HTTP submission surface
-// (submit.go): a sweepd preset submission and a CLI figure warm the
-// identical spec list. Grids must enumerate exactly the runs their
-// driver performs: a missing point silently degrades to an inline serial
-// run during assembly (TestWarmersCoverDrivers guards this).
+// The gridFigXX enumerations are also exposed as presets (submit.go):
+// PresetSpecs returns the identical spec list a CLI figure warms. Grids
+// must enumerate exactly the runs their driver performs: a missing point
+// silently degrades to an inline serial run during assembly
+// (TestWarmersCoverDrivers guards this).
 
 // warmers holds the drivers whose grid is not a single-wave preset:
 // fig01 (trace builds only) and fig17 (staged: wave two's cycle caps

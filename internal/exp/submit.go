@@ -11,16 +11,14 @@ import (
 
 // This file is the submission surface of the experiment grids: the same
 // (workload x config) enumerations the figure drivers warm through
-// RunBatch, exposed so other frontends — sweepd's HTTP API, chiefly —
-// can submit an identical grid through their own scheduling. Everything
-// here builds jobs through Runner.job, so a job submitted over HTTP, run by
-// the CLI, or warmed by a driver computes the same hash, derived seed,
-// and cache key, and therefore shares result-store entries byte for
-// byte.
+// RunBatch, exposed as jobs so a caller with its own pool loop
+// (perfbench) can run an identical grid. Everything here builds jobs
+// through Runner.job, so a job from Jobs, one run by the CLI, and one
+// warmed by a driver compute the same hash, derived seed, and cache key,
+// and therefore share result-store entries byte for byte.
 
 // ScaleParams returns the workload generation parameters for a named
-// scale preset — the same presets cmd/experiments exposes as -scale, so
-// a sweepd submission naming a scale reproduces the CLI's grids exactly.
+// scale preset — the presets cmd/experiments exposes as -scale.
 func ScaleParams(scale string, seed uint64) (workload.Params, error) {
 	p := workload.Default()
 	p.Seed = seed
@@ -51,7 +49,7 @@ func ScaleParams(scale string, seed uint64) (workload.Params, error) {
 // frontends run under: Table 1 defaults plus the cycle cap that keeps
 // deep-oversubscription points from thrashing for hours (they are then
 // reported as lower bounds). Using one shared base is what makes
-// sweepd's results byte-identical to cmd/experiments'.
+// perfbench's grids byte-identical to cmd/experiments'.
 func DefaultBase() config.Config {
 	base := config.Default()
 	base.MaxCycles = 1_000_000_000
@@ -117,9 +115,3 @@ func (r *Runner) Jobs(specs []RunSpec) ([]harness.Job, error) {
 	}
 	return jobs, nil
 }
-
-// Executor returns the harness executor running this runner's
-// simulations — the same leaf RunBatch submits, including the traced
-// path when the pool carries a trace directory. Handed to Pool.Serve
-// tasks by sweepd.
-func (r *Runner) Executor() harness.Executor { return r.simExecutor }

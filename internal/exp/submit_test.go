@@ -114,32 +114,23 @@ func TestJobsDedupe(t *testing.T) {
 	}
 }
 
-// TestJobsMatchRunBatchIdentity is the cross-frontend cache-identity
-// guard: executing the jobs Jobs() emits through a bare pool must land
-// on exactly the cache entries a driver-side RunBatch of the same grid
-// writes — same keys, byte-identical serialized stats.
+// TestJobsMatchRunBatchIdentity is the cache-identity guard for the
+// jobs Runner.Jobs emits: run through a bare Pool.Run (the path perfbench
+// drives), they must land on exactly the cache entries a driver-side
+// RunBatch of the same grid writes, so every one is served from the
+// store instead of re-simulated.
 func TestJobsMatchRunBatchIdentity(t *testing.T) {
 	skipSlowUnderRace(t)
-	cacheDir := t.TempDir()
-	cache, err := harness.OpenCache(cacheDir)
+	cache, err := harness.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frontend A: the driver path.
+	// The driver path populates the store.
 	r1 := tinyRunner(harness.New(harness.Options{Jobs: 2, Cache: cache}))
 	if err := r1.RunBatch(mustSpecs(t, r1, "fig16")); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := cache.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		cached[k] = true
-	}
-	// Frontend B: the submission path against the same store. Every job
-	// must hit the cache (0 fresh executions) under a runner that shares
+	// The job path against the same store, under a runner that shares
 	// nothing with r1 but its inputs.
 	pool := harness.New(harness.Options{Jobs: 2, Cache: cache})
 	r2 := tinyRunner(pool)
@@ -151,11 +142,11 @@ func TestJobsMatchRunBatchIdentity(t *testing.T) {
 		t.Fatal("empty grid")
 	}
 	for _, j := range jobs {
-		if !cached[j.Key()] {
-			t.Errorf("submitted job %s (key %s) missed the cache RunBatch populated", j.ID, j.Key())
+		if _, ok := cache.Get(j.Key()); !ok {
+			t.Errorf("job %s (key %s) missed the cache RunBatch populated", j.ID, j.Key())
 		}
 	}
-	results, err := pool.Run(r2.ctx(), jobs, r2.Executor())
+	results, err := pool.Run(r2.ctx(), jobs, r2.simExecutor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,14 +25,14 @@ import (
 //
 //   - SetDisk attaches a disk tier (in practice a trace.ArtifactStore).
 //     A memory miss consults the tier before building, and a fresh build
-//     is persisted through it, so a restarted daemon — or a separate
-//     process sharing the directory — serves its first request with zero
+//     is persisted through it, so a later process sharing the directory
+//     (a rerun sweep, another runner) loads its workloads with zero
 //     rebuilds.
 //   - SetLimit attaches a byte budget. Completed entries are accounted by
 //     their value's ArtifactBytes method (values without one count as 0)
 //     and evicted least-recently-used when the budget is exceeded, so a
-//     long-running daemon's compiled-workload footprint stays bounded;
-//     evicted artifacts remain one disk load away.
+//     large sweep's compiled-workload footprint stays bounded; evicted
+//     artifacts remain one disk load away.
 type BuildCache struct {
 	mu      sync.Mutex
 	entries map[string]*buildEntry
@@ -55,27 +55,26 @@ type DiskTier interface {
 	Save(key string, v any) (bool, error)
 }
 
-// BuildStats are a BuildCache's lifetime counters, shaped for JSON
-// exposure on sweepd's /api/v1/stores.
+// BuildStats are a BuildCache's lifetime counters.
 type BuildStats struct {
 	// Builds counts fresh build() invocations — the expensive path. A
-	// daemon restarted over a warm artifact store serves a repeated grid
-	// with Builds == 0.
-	Builds int64 `json:"builds"`
+	// runner started over a warm artifact store loads a repeated grid's
+	// workloads with Builds == 0.
+	Builds int64
 	// MemHits counts Gets answered from memory, including callers
 	// coalesced onto an in-flight build.
-	MemHits int64 `json:"mem_hits"`
+	MemHits int64
 	// DiskLoads counts memory misses answered by the disk tier.
-	DiskLoads int64 `json:"disk_loads"`
+	DiskLoads int64
 	// DiskSaves counts fresh builds persisted through the disk tier.
-	DiskSaves int64 `json:"disk_saves"`
+	DiskSaves int64
 	// Evictions counts completed entries dropped by the byte budget.
-	Evictions int64 `json:"evictions"`
+	Evictions int64
 	// Entries and Bytes describe the current resident set; LimitBytes is
 	// the configured budget (0 = unbounded).
-	Entries    int   `json:"entries"`
-	Bytes      int64 `json:"bytes"`
-	LimitBytes int64 `json:"limit_bytes"`
+	Entries    int
+	Bytes      int64
+	LimitBytes int64
 }
 
 type buildEntry struct {
@@ -174,16 +173,12 @@ func (c *BuildCache) Get(key string, build func() (any, error)) (any, error) {
 	if persisted {
 		c.stats.DiskSaves++
 	}
-	// The entry may have been Forgotten while building; only account it if
-	// it is still the one in the map.
-	if cur, still := c.entries[key]; still && cur == e {
-		if e.err == nil {
-			e.size = valueSize(e.val)
-		}
-		c.bytes += e.size
-		e.elem = c.lru.PushFront(e)
-		c.evictLocked()
+	if e.err == nil {
+		e.size = valueSize(e.val)
 	}
+	c.bytes += e.size
+	e.elem = c.lru.PushFront(e)
+	c.evictLocked()
 	return e.val, e.err
 }
 
@@ -219,61 +214,4 @@ func (c *BuildCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Bytes returns the accounted resident size of completed entries.
-func (c *BuildCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Forget drops the entry for key, so the next Get rebuilds it. An
-// in-flight build is detached rather than interrupted: it completes and
-// is delivered to the callers already waiting on it, but is no longer
-// cached. One-shot sweeps never need this; a long-running daemon uses it
-// (with DropErrors) so a transiently failed build does not poison its
-// key for the life of the process.
-func (c *BuildCache) Forget(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(key)
-}
-
-// removeLocked unlinks an entry from the map and, if completed and
-// accounted, from the LRU list and the byte total.
-func (c *BuildCache) removeLocked(key string) {
-	e, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	delete(c.entries, key)
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		c.bytes -= e.size
-		e.elem = nil
-	}
-}
-
-// DropErrors removes every completed entry that memoized a build error,
-// returning how many were dropped. In-flight builds are left alone
-// (their outcome is unknown), and successful artifacts are kept, so the
-// default memoize-everything semantics of a one-shot sweep are
-// untouched — a daemon simply calls this between submissions to give
-// transient failures another chance.
-func (c *BuildCache) DropErrors() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key, e := range c.entries {
-		select {
-		case <-e.ready:
-			if e.err != nil {
-				c.removeLocked(key)
-				n++
-			}
-		default: // still building
-		}
-	}
-	return n
 }

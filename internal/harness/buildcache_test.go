@@ -77,103 +77,6 @@ func TestBuildCacheMemoizesErrors(t *testing.T) {
 	}
 }
 
-// TestBuildCacheForget rebuilds a forgotten key on the next Get.
-func TestBuildCacheForget(t *testing.T) {
-	c := NewBuildCache()
-	builds := 0
-	build := func() (any, error) { builds++; return builds, nil }
-	if v, _ := c.Get("k", build); v != 1 {
-		t.Fatalf("first build returned %v", v)
-	}
-	c.Forget("k")
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d keys after Forget", c.Len())
-	}
-	if v, _ := c.Get("k", build); v != 2 {
-		t.Fatalf("post-Forget build returned %v, want a fresh build", v)
-	}
-	c.Forget("missing") // no-op, must not panic
-}
-
-// TestBuildCacheForgetInFlight detaches an in-flight build: its waiters
-// still get the value, but the key rebuilds afterwards.
-func TestBuildCacheForgetInFlight(t *testing.T) {
-	c := NewBuildCache()
-	release := make(chan struct{})
-	started := make(chan struct{})
-	first := make(chan any, 1)
-	go func() {
-		v, _ := c.Get("k", func() (any, error) {
-			close(started)
-			<-release
-			return "v1", nil
-		})
-		first <- v
-	}()
-	<-started
-	c.Forget("k")
-	close(release)
-	if v := <-first; v != "v1" {
-		t.Fatalf("detached build delivered %v to its waiter, want v1", v)
-	}
-	v, _ := c.Get("k", func() (any, error) { return "v2", nil })
-	if v != "v2" {
-		t.Fatalf("forgotten in-flight key served %v, want a rebuild", v)
-	}
-}
-
-// TestBuildCacheDropErrors drops only completed error entries, keeping
-// successes, so a daemon can retry transient failures without losing
-// warm artifacts.
-func TestBuildCacheDropErrors(t *testing.T) {
-	c := NewBuildCache()
-	boom := errors.New("boom")
-	c.Get("good", func() (any, error) { return "artifact", nil })
-	c.Get("bad-a", func() (any, error) { return nil, boom })
-	c.Get("bad-b", func() (any, error) { return nil, boom })
-	if n := c.DropErrors(); n != 2 {
-		t.Fatalf("DropErrors removed %d entries, want 2", n)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d keys, want the surviving success", c.Len())
-	}
-	rebuilt := 0
-	if _, err := c.Get("bad-a", func() (any, error) { rebuilt++; return "fixed", nil }); err != nil {
-		t.Fatalf("dropped key still memoizes its error: %v", err)
-	}
-	if rebuilt != 1 {
-		t.Fatal("dropped key did not rebuild")
-	}
-	if v, _ := c.Get("good", func() (any, error) { t.Fatal("success rebuilt"); return nil, nil }); v != "artifact" {
-		t.Fatalf("surviving entry = %v", v)
-	}
-}
-
-// TestBuildCacheDropErrorsSkipsInFlight leaves a building entry alone.
-func TestBuildCacheDropErrorsSkipsInFlight(t *testing.T) {
-	c := NewBuildCache()
-	release := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		c.Get("building", func() (any, error) {
-			close(started)
-			<-release
-			return nil, errors.New("late failure")
-		})
-		close(done)
-	}()
-	<-started
-	if n := c.DropErrors(); n != 0 {
-		t.Fatalf("DropErrors removed %d in-flight entries", n)
-	}
-	close(release)
-	<-done
-	if n := c.DropErrors(); n != 1 {
-		t.Fatalf("completed failure not dropped (n = %d)", n)
-	}
-}
-
 // sizedArtifact implements the ArtifactBytes accounting hook.
 type sizedArtifact struct{ bytes int64 }
 
@@ -208,8 +111,8 @@ func (d *fakeDisk) Save(key string, v any) (bool, error) {
 }
 
 // TestBuildCacheDiskTier pins the memory-miss → disk-load → build+persist
-// protocol: a second cache over the same tier — the restarted-daemon
-// scenario — serves every key with zero fresh builds.
+// protocol: a second cache over the same tier — a later process sharing
+// the artifact directory — serves every key with zero fresh builds.
 func TestBuildCacheDiskTier(t *testing.T) {
 	disk := newFakeDisk()
 	c := NewBuildCache()
@@ -292,24 +195,5 @@ func TestBuildCacheOversizedEntry(t *testing.T) {
 	c.Get("huge", func() (any, error) { t.Fatal("oversized sole entry evicted"); return nil, nil })
 	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 {
 		t.Fatalf("oversized stats: %+v", st)
-	}
-}
-
-// TestBuildCacheForgetAccounting keeps the byte ledger consistent across
-// Forget and DropErrors.
-func TestBuildCacheForgetAccounting(t *testing.T) {
-	c := NewBuildCache()
-	c.Get("a", func() (any, error) { return &sizedArtifact{70}, nil })
-	c.Get("bad", func() (any, error) { return nil, errors.New("boom") })
-	if got := c.Bytes(); got != 70 {
-		t.Fatalf("bytes with one artifact and one error: %d", got)
-	}
-	c.DropErrors()
-	c.Forget("a")
-	if got := c.Bytes(); got != 0 {
-		t.Fatalf("bytes after Forget: %d", got)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("entries after Forget: %d", c.Len())
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 )
 
 // Cache is an on-disk JSON result store keyed by Job.Key() — one file per
@@ -97,90 +95,4 @@ func (c *Cache) Len() int {
 		return 0
 	}
 	return len(matches)
-}
-
-// CacheStats summarizes the on-disk store (sweepd's store-stats
-// endpoint; also handy for inspecting a CLI sweep's cache).
-type CacheStats struct {
-	Entries    int       `json:"entries"`
-	TotalBytes int64     `json:"total_bytes"`
-	Oldest     time.Time `json:"oldest,omitempty"` // zero when empty
-}
-
-// entryFiles lists the store's entry files.
-func (c *Cache) entryFiles() ([]string, error) {
-	return filepath.Glob(filepath.Join(c.dir, "*.json"))
-}
-
-// Stats scans the store and reports entry count, total bytes, and the
-// modification time of the oldest entry. Files that vanish mid-scan (a
-// concurrent prune) are skipped, not errors.
-func (c *Cache) Stats() (CacheStats, error) {
-	files, err := c.entryFiles()
-	if err != nil {
-		return CacheStats{}, fmt.Errorf("harness: scanning cache: %w", err)
-	}
-	var st CacheStats
-	for _, f := range files {
-		info, err := os.Stat(f)
-		if err != nil {
-			continue
-		}
-		st.Entries++
-		st.TotalBytes += info.Size()
-		if st.Oldest.IsZero() || info.ModTime().Before(st.Oldest) {
-			st.Oldest = info.ModTime()
-		}
-	}
-	return st, nil
-}
-
-// Keys returns the cache key of every decodable entry, sorted. Entry
-// file names are hashes, so this reads each entry back and re-derives
-// its key — an O(entries) disk scan meant for stats endpoints and
-// debugging, not hot paths.
-func (c *Cache) Keys() ([]string, error) {
-	files, err := c.entryFiles()
-	if err != nil {
-		return nil, fmt.Errorf("harness: scanning cache: %w", err)
-	}
-	keys := make([]string, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			continue
-		}
-		var res Result
-		if err := json.Unmarshal(data, &res); err != nil {
-			continue // undecodable entries are misses everywhere
-		}
-		keys = append(keys, res.Key())
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// PruneOlderThan removes entries whose file modification time is before
-// now-age, returning how many were removed. Entries written (or
-// rewritten) since then survive; a long-running daemon calls this to
-// bound store growth without touching hot results.
-func (c *Cache) PruneOlderThan(age time.Duration) (int, error) {
-	files, err := c.entryFiles()
-	if err != nil {
-		return 0, fmt.Errorf("harness: scanning cache: %w", err)
-	}
-	cutoff := time.Now().Add(-age)
-	removed := 0
-	for _, f := range files {
-		info, err := os.Stat(f)
-		if err != nil {
-			continue
-		}
-		if info.ModTime().Before(cutoff) {
-			if err := os.Remove(f); err == nil {
-				removed++
-			}
-		}
-	}
-	return removed, nil
 }

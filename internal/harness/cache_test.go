@@ -3,9 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
-	"time"
 
 	"uvmsim/internal/metrics"
 )
@@ -83,101 +81,5 @@ func TestCacheRejectsKeyMismatch(t *testing.T) {
 func TestOpenCacheEmptyDir(t *testing.T) {
 	if _, err := OpenCache(""); err == nil {
 		t.Fatal("empty cache dir accepted")
-	}
-}
-
-// fillCache stores n trivial results and returns their keys, sorted.
-func fillCache(t *testing.T, c *Cache, n int) []string {
-	t.Helper()
-	keys := make([]string, n)
-	for i := range keys {
-		j := fakeJob(i)
-		keys[i] = j.Key()
-		res := &Result{ID: j.ID, Workload: j.Workload, Hash: j.Hash, Seed: j.Seed,
-			Stats: &metrics.Stats{Cycles: uint64(i)}}
-		if err := c.Put(keys[i], res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TestCacheKeysAndStats reads back every stored key and sane aggregate
-// stats, skipping undecodable files.
-func TestCacheKeysAndStats(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := c.Stats(); err != nil || st.Entries != 0 || !st.Oldest.IsZero() {
-		t.Fatalf("empty cache stats = %+v, err %v", st, err)
-	}
-	want := fillCache(t, c, 5)
-	// A corrupt file counts for size but yields no key.
-	if err := os.WriteFile(filepath.Join(c.Dir(), "feedfeedfeedfeedfeedfeedfeedfeed.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := c.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != len(want) {
-		t.Fatalf("Keys returned %d entries, want %d", len(keys), len(want))
-	}
-	for i := range keys {
-		if keys[i] != want[i] {
-			t.Fatalf("key %d = %q, want %q", i, keys[i], want[i])
-		}
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Entries != 6 {
-		t.Fatalf("stats entries = %d, want 6 (5 results + 1 corrupt file)", st.Entries)
-	}
-	if st.TotalBytes <= 0 {
-		t.Fatalf("stats total bytes = %d", st.TotalBytes)
-	}
-	if st.Oldest.IsZero() || st.Oldest.After(time.Now()) {
-		t.Fatalf("stats oldest = %v", st.Oldest)
-	}
-}
-
-// TestCachePruneOlderThan removes only entries older than the cutoff.
-func TestCachePruneOlderThan(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := fillCache(t, c, 4)
-	// Backdate two entries well past the cutoff.
-	old := time.Now().Add(-48 * time.Hour)
-	backdated := 0
-	files, _ := c.entryFiles()
-	for _, f := range files[:2] {
-		if err := os.Chtimes(f, old, old); err != nil {
-			t.Fatal(err)
-		}
-		backdated++
-	}
-	removed, err := c.PruneOlderThan(24 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != backdated {
-		t.Fatalf("pruned %d entries, want %d", removed, backdated)
-	}
-	if c.Len() != len(keys)-backdated {
-		t.Fatalf("cache holds %d entries after prune, want %d", c.Len(), len(keys)-backdated)
-	}
-	// Fresh entries must all still decode.
-	left, err := c.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != len(keys)-backdated {
-		t.Fatalf("Keys after prune = %d, want %d", len(left), len(keys)-backdated)
 	}
 }

@@ -1,42 +1,37 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
 
 // Event is one machine-readable progress record. The Reporter emits one
-// per job completion (Type "job") as a JSON line when Events is set; the
-// sweepd daemon streams the same records per grid over HTTP, adding a
-// terminal Type "grid" record, so a CLI sweep's progress log and a
-// service client's event stream parse identically.
+// per job completion as a JSON line when Events is set (cmd/experiments
+// -progress-json).
 type Event struct {
-	// Type is "job" for a job completion, "grid" for sweepd's terminal
-	// grid record.
+	// Type is "job": every record is a job completion.
 	Type string `json:"type"`
-	// ID is the human-readable job label (or grid ID for Type "grid").
+	// ID is the human-readable job label.
 	ID string `json:"id"`
-	// Key is the job's cache identity (empty for grid records).
+	// Key is the job's cache identity.
 	Key      string `json:"key,omitempty"`
 	Workload string `json:"workload,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
 	Par      int    `json:"par,omitempty"`
 	// Status is "done", "cached" (served from the result store), or
-	// "failed"; sweepd additionally uses "stored" for jobs answered from
-	// the store at submission time.
+	// "failed".
 	Status string `json:"status"`
 	Err    string `json:"error,omitempty"`
 	WallNS int64  `json:"wall_ns,omitempty"`
-	// Completed and Submitted are the emitting scope's progress counters:
-	// sweep-wide for Reporter events, per-grid for sweepd streams.
+	// Completed and Submitted are the reporter's sweep-wide progress
+	// counters at the time of the event.
 	Completed int `json:"completed"`
 	Submitted int `json:"submitted"`
 }
 
-// JobEvent builds the progress event for one finished job against the
+// jobEvent builds the progress event for one finished job against the
 // given counters.
-func JobEvent(res *Result, completed, submitted int) Event {
+func jobEvent(res *Result, completed, submitted int) Event {
 	status := "done"
 	switch {
 	case res.Cached:
@@ -67,13 +62,4 @@ func (e Event) AppendJSONLine(buf []byte) ([]byte, error) {
 	}
 	buf = append(buf, data...)
 	return append(buf, '\n'), nil
-}
-
-// ParseEvent decodes one JSON line (as written by AppendJSONLine).
-func ParseEvent(line []byte) (Event, error) {
-	var e Event
-	if err := json.Unmarshal(bytes.TrimSpace(line), &e); err != nil {
-		return Event{}, fmt.Errorf("harness: decoding event: %w", err)
-	}
-	return e, nil
 }

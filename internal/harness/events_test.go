@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -27,20 +28,12 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	if !bytes.HasSuffix(line, []byte("\n")) || bytes.Count(line, []byte("\n")) != 1 {
 		t.Fatalf("not a single JSON line: %q", line)
 	}
-	got, err := ParseEvent(line)
-	if err != nil {
+	var got Event
+	if err := json.Unmarshal(line, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != ev {
 		t.Fatalf("round trip changed the event:\n got %+v\nwant %+v", got, ev)
-	}
-}
-
-// TestParseEventRejectsGarbage surfaces decode errors instead of zero
-// values.
-func TestParseEventRejectsGarbage(t *testing.T) {
-	if _, err := ParseEvent([]byte("not json\n")); err == nil {
-		t.Fatal("garbage line parsed without error")
 	}
 }
 
@@ -70,8 +63,8 @@ func TestReporterEmitsJSONLines(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	var events []Event
 	for sc.Scan() {
-		ev, err := ParseEvent(sc.Bytes())
-		if err != nil {
+		var ev Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %d: %v", len(events), err)
 		}
 		events = append(events, ev)
@@ -112,27 +105,6 @@ func TestReporterEmitsJSONLines(t *testing.T) {
 	for _, j := range jobs {
 		if !seen[j.Key()] {
 			t.Fatalf("no event for job %s", j.ID)
-		}
-	}
-}
-
-// TestReporterOnEventHook delivers every event to the hook too (sweepd's
-// path into its per-grid streams).
-func TestReporterOnEventHook(t *testing.T) {
-	rep := NewReporter(nil)
-	var got []Event
-	rep.OnEvent = func(e Event) { got = append(got, e) }
-	p := New(Options{Jobs: 1, Reporter: rep})
-	jobs := []Job{fakeJob(0), fakeJob(1)}
-	if _, err := p.Run(context.Background(), jobs, okExec); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("hook saw %d events, want 2", len(got))
-	}
-	for _, ev := range got {
-		if ev.Status != "done" {
-			t.Fatalf("hook event status = %q", ev.Status)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package harness orchestrates sweeps of independent simulation runs: it
 // fans jobs out over a bounded worker pool, derives a deterministic seed
-// per job, captures panics with bounded retry, enforces per-job timeouts
+// per job, captures panics as job failures, enforces per-job timeouts
 // and context cancellation, caches results on disk so interrupted sweeps
 // resume instead of recomputing, and reports progress and telemetry.
 //
@@ -44,13 +44,9 @@ type Options struct {
 	Par int
 	// Timeout bounds each job's wall time; 0 means no limit.
 	Timeout time.Duration
-	// Retries is how many times a panicking job is re-attempted before
-	// it is recorded as failed. Simulation errors are deterministic and
-	// never retried; only panics are. Negative means the default (1).
-	Retries int
 	// Cache, when non-nil, is consulted before running a job and updated
 	// after. Only completed simulations (including cycle-limit lower
-	// bounds) are cached; panics and timeouts are retried on resume.
+	// bounds) are cached; panics and timeouts are rerun on resume.
 	Cache *Cache
 	// Reporter receives progress; nil installs a silent one.
 	Reporter *Reporter
@@ -58,27 +54,19 @@ type Options struct {
 	// trace per freshly-run job into this directory (see TracePath). The
 	// directory must exist; cache hits produce no trace.
 	TraceDir string
-	// TraceKeyed names trace files by a hash of the job's cache key
-	// instead of its display ID, turning TraceDir into a content-
-	// addressed trace store: every client asking for the same job finds
-	// the same file (see KeyedTraceFile). Used by sweepd; the CLI keeps
-	// ID-derived names, which are friendlier to browse.
-	TraceKeyed bool
 }
 
 // Pool runs job batches over a fixed-width worker pool. A Pool may be
 // reused across many Run calls (a sweep per figure, say); its reporter
 // accumulates totals across all of them.
 type Pool struct {
-	workers    int
-	par        int // requested per-job parallelism: stamped into keys
-	parCap     int // host budget: what actually executes (see RunPar)
-	timeout    time.Duration
-	retries    int
-	cache      *Cache
-	rep        *Reporter
-	traceDir   string
-	traceKeyed bool
+	workers  int
+	par      int // requested per-job parallelism: stamped into keys
+	parCap   int // host budget: what actually executes (see RunPar)
+	timeout  time.Duration
+	cache    *Cache
+	rep      *Reporter
+	traceDir string
 }
 
 // New builds a pool from opts. The requested Par is normalized (>= 1) but
@@ -102,25 +90,19 @@ func New(opts Options) *Pool {
 	if parCap < 1 {
 		parCap = 1
 	}
-	retries := opts.Retries
-	if retries < 0 {
-		retries = 1
-	}
 	rep := opts.Reporter
 	if rep == nil {
 		rep = NewReporter(nil)
 	}
 	rep.setWorkers(workers)
 	return &Pool{
-		workers:    workers,
-		par:        par,
-		parCap:     parCap,
-		timeout:    opts.Timeout,
-		retries:    retries,
-		cache:      opts.Cache,
-		rep:        rep,
-		traceDir:   opts.TraceDir,
-		traceKeyed: opts.TraceKeyed,
+		workers:  workers,
+		par:      par,
+		parCap:   parCap,
+		timeout:  opts.Timeout,
+		cache:    opts.Cache,
+		rep:      rep,
+		traceDir: opts.TraceDir,
 	}
 }
 
@@ -139,12 +121,6 @@ func (p *Pool) ParCap() int { return p.parCap }
 
 // Reporter returns the pool's progress reporter.
 func (p *Pool) Reporter() *Reporter { return p.rep }
-
-// Cache returns the pool's result cache (nil when caching is off).
-func (p *Pool) Cache() *Cache { return p.cache }
-
-// TraceDir returns the pool's execution-trace directory ("" = untraced).
-func (p *Pool) TraceDir() string { return p.traceDir }
 
 // Run executes jobs and returns their results in submission order. It
 // never fails the sweep because one job failed: per-job errors are
@@ -216,23 +192,11 @@ func (p *Pool) runJob(ctx context.Context, j Job, exec Executor) Result {
 	res := Result{ID: j.ID, Workload: j.Workload, Hash: j.Hash, Seed: j.Seed, Par: j.Par}
 	tracePath := ""
 	if p.traceDir != "" {
-		name := traceFileName(j.ID)
-		if p.traceKeyed {
-			name = KeyedTraceFile(j.Key())
-		}
-		tracePath = filepath.Join(p.traceDir, name)
+		tracePath = filepath.Join(p.traceDir, traceFileName(j.ID))
 		ctx = withTracePath(ctx, tracePath)
 	}
 	start := time.Now()
-	var stats *metrics.Stats
-	var err error
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		stats, err = p.attempt(ctx, j, exec)
-		if _, panicked := err.(*panicError); !panicked || attempt > p.retries {
-			break
-		}
-	}
+	stats, err := p.execute(ctx, j, exec)
 	res.WallNS = time.Since(start).Nanoseconds()
 	res.Stats = stats
 	res.PeakBatchPages = peakBatchPages(stats)
@@ -246,7 +210,7 @@ func (p *Pool) runJob(ctx context.Context, j Job, exec Executor) Result {
 	}
 	// Cache only completed simulations: successes and cycle-limit lower
 	// bounds (partial stats). Panics, timeouts, and cancellations leave
-	// no entry, so a resumed sweep retries them.
+	// no entry, so a resumed sweep reruns them.
 	if p.cache != nil && !j.NoCache && (err == nil || stats != nil) && ctx.Err() == nil {
 		if cerr := p.cache.Put(j.Key(), &res); cerr != nil && p.rep.W != nil {
 			fmt.Fprintf(p.rep.W, "cache write failed for %s: %v\n", j.ID, cerr)
@@ -255,22 +219,13 @@ func (p *Pool) runJob(ctx context.Context, j Job, exec Executor) Result {
 	return res
 }
 
-// panicError marks an executor panic (the retryable failure class).
-type panicError struct {
-	val   any
-	stack string
-}
-
-func (e *panicError) Error() string {
-	return fmt.Sprintf("panic: %v\n%s", e.val, e.stack)
-}
-
-// attempt runs exec once under the job deadline, converting panics into
-// *panicError. The executor runs in its own goroutine so that a
-// deadline or cancellation can abandon a computation that never checks
-// the context; an abandoned run keeps its goroutine until the simulation
-// finishes on its own (bounded in practice by Config.MaxCycles).
-func (p *Pool) attempt(ctx context.Context, j Job, exec Executor) (*metrics.Stats, error) {
+// execute runs exec once under the job deadline, converting a panic into
+// an error carrying the panic value and stack. The executor runs in its
+// own goroutine so that a deadline or cancellation can abandon a
+// computation that never checks the context; an abandoned run keeps its
+// goroutine until the simulation finishes on its own (bounded in
+// practice by Config.MaxCycles).
+func (p *Pool) execute(ctx context.Context, j Job, exec Executor) (*metrics.Stats, error) {
 	if p.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.timeout)
@@ -286,7 +241,7 @@ func (p *Pool) attempt(ctx context.Context, j Job, exec Executor) (*metrics.Stat
 			if v := recover(); v != nil {
 				buf := make([]byte, 4096)
 				buf = buf[:runtime.Stack(buf, false)]
-				ch <- outcome{nil, &panicError{val: v, stack: string(buf)}}
+				ch <- outcome{nil, fmt.Errorf("panic: %v\n%s", v, buf)}
 			}
 		}()
 		stats, err := exec(ctx, j)

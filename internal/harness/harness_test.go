@@ -72,8 +72,10 @@ func TestPoolRunsAllJobsInOrder(t *testing.T) {
 	}
 }
 
-func TestPoolPanicRetryThenFail(t *testing.T) {
-	p := New(Options{Jobs: 2, Retries: 2})
+// TestPoolPanicIsCapturedOnce runs a panicking executor exactly once and
+// records the panic as that job's failure without sinking the sweep.
+func TestPoolPanicIsCapturedOnce(t *testing.T) {
+	p := New(Options{Jobs: 2})
 	var calls atomic.Int32
 	jobs := []Job{fakeJob(0), fakeJob(1)}
 	results, err := p.Run(context.Background(), jobs, func(_ context.Context, j Job) (*metrics.Stats, error) {
@@ -86,42 +88,19 @@ func TestPoolPanicRetryThenFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The panicking job fails after 1 + 2 attempts without sinking the
-	// sweep; the healthy job still succeeds.
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("panicking job attempted %d times, want 3", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("panicking job ran %d times, want 1", got)
 	}
 	if results[0].Err == "" || !strings.Contains(results[0].Err, "boom") {
 		t.Fatalf("panic not captured: %+v", results[0])
-	}
-	if results[0].Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", results[0].Attempts)
 	}
 	if results[1].Err != "" {
 		t.Fatalf("healthy job failed: %+v", results[1])
 	}
 }
 
-func TestPoolPanicRetrySucceeds(t *testing.T) {
-	p := New(Options{Jobs: 1, Retries: 1})
-	var calls atomic.Int32
-	jobs := []Job{fakeJob(0)}
-	results, err := p.Run(context.Background(), jobs, func(_ context.Context, j Job) (*metrics.Stats, error) {
-		if calls.Add(1) == 1 {
-			panic("transient")
-		}
-		return statsFor(j), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != "" || results[0].Attempts != 2 {
-		t.Fatalf("retry did not recover: %+v", results[0])
-	}
-}
-
 func TestPoolErrorsAreNotRetried(t *testing.T) {
-	p := New(Options{Jobs: 1, Retries: 3})
+	p := New(Options{Jobs: 1})
 	var calls atomic.Int32
 	results, err := p.Run(context.Background(), []Job{fakeJob(0)}, func(_ context.Context, _ Job) (*metrics.Stats, error) {
 		calls.Add(1)
@@ -254,7 +233,7 @@ func TestPoolDoesNotCacheFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(Options{Jobs: 1, Retries: 0, Cache: cache})
+	p := New(Options{Jobs: 1, Cache: cache})
 	jobs := []Job{fakeJob(0)}
 	if _, err := p.Run(context.Background(), jobs, func(_ context.Context, _ Job) (*metrics.Stats, error) {
 		panic("crash")
@@ -392,11 +371,12 @@ func TestPoolParBudgetSplit(t *testing.T) {
 	}
 }
 
-// TestPoolParKeyStableUnderTrimming pins the cross-host key contract the
-// sweepd single-flight relies on: a pool whose requested Par exceeds the
-// host's goroutine budget still stamps the *requested* Par into job keys
-// (identical on every host), while executors observe the budget-capped
-// parallelism via RunPar — for stamped and preset jobs alike.
+// TestPoolParKeyStableUnderTrimming pins the cross-host key contract: a
+// pool whose requested Par exceeds the host's goroutine budget still
+// stamps the *requested* Par into job keys (identical on every host, so
+// a result cache copied between hosts still hits), while executors
+// observe the budget-capped parallelism via RunPar — for stamped and
+// preset jobs alike.
 func TestPoolParKeyStableUnderTrimming(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	req := maxprocs*4 + 1 // guaranteed above any host budget
@@ -506,7 +486,7 @@ func TestPoolParInCacheKey(t *testing.T) {
 // their natural runtime), the jobs completed before the cancel keep
 // their cache entries, and a rerun against the same cache serves those
 // from disk while freshly running only the interrupted remainder —
-// exactly what `cmd/experiments -resume` (and a sweepd restart) rely on.
+// exactly what `cmd/experiments -resume` relies on.
 func TestCancelMidSweepThenResume(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {

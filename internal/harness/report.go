@@ -32,11 +32,6 @@ type Reporter struct {
 	// the machine-readable twin of W (see Event). Lines are written
 	// atomically under an internal lock, so Events may be a shared file.
 	Events io.Writer
-	// OnEvent, when non-nil, is invoked with each event after the
-	// counters update. It runs on the completing worker's goroutine and
-	// must not call back into the reporter's locked methods from a
-	// blocking path.
-	OnEvent func(Event)
 
 	mu      sync.Mutex
 	start   time.Time
@@ -89,17 +84,11 @@ func (rp *Reporter) done(res *Result) {
 	w := rp.W
 	rp.mu.Unlock()
 
-	if rp.Events != nil || rp.OnEvent != nil {
-		ev := JobEvent(res, t.Completed(), t.Submitted)
-		if rp.Events != nil {
-			if line, err := ev.AppendJSONLine(nil); err == nil {
-				rp.emitMu.Lock()
-				rp.Events.Write(line)
-				rp.emitMu.Unlock()
-			}
-		}
-		if rp.OnEvent != nil {
-			rp.OnEvent(ev)
+	if rp.Events != nil {
+		if line, err := jobEvent(res, t.Completed(), t.Submitted).AppendJSONLine(nil); err == nil {
+			rp.emitMu.Lock()
+			rp.Events.Write(line)
+			rp.emitMu.Unlock()
 		}
 	}
 	if w == nil {

@@ -13,7 +13,7 @@ import (
 //   - Err != "" and Stats != nil: the run aborted with partial statistics
 //     (a cycle-limit abort); sweep drivers may report it as a lower bound.
 //   - Err != "" and Stats == nil: the run failed outright (bad config,
-//     unbuildable workload, or a panic that exhausted its retries).
+//     unbuildable workload, or a panic).
 type Result struct {
 	ID       string `json:"id"`
 	Workload string `json:"workload"`
@@ -26,7 +26,6 @@ type Result struct {
 
 	// Telemetry.
 	WallNS         int64 `json:"wall_ns"`          // executor wall time
-	Attempts       int   `json:"attempts"`         // 1 + retries consumed
 	Cached         bool  `json:"cached,omitempty"` // served from the cache
 	PeakBatchPages int   `json:"peak_batch_pages,omitempty"`
 	// TraceFile is the execution trace written for this job when the pool

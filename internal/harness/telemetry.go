@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"strings"
 )
 
@@ -66,14 +64,4 @@ func traceFileName(id string) string {
 		}
 	}
 	return b.String() + ".trace.json"
-}
-
-// KeyedTraceFile returns the content-addressed trace file name for a job
-// cache key — the trace-store analog of the result cache's entry naming.
-// Pools running with Options.TraceKeyed write traces under this name, so
-// any process holding the key (a sweepd client fetching a trace, a later
-// daemon restart) derives the same path without a lookup table.
-func KeyedTraceFile(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])[:32] + ".trace.json"
 }

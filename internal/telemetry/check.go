@@ -8,10 +8,9 @@ import (
 
 // Structural validation of exported traces. This is the receiving side
 // of the trace handoff: any consumer holding Chrome trace-event JSON
-// produced by WriteJSON — cmd/tracecheck in CI, a sweepd client that
-// fetched a trace from the daemon's store — can assert the object form,
-// the required per-event fields, and the batch-span nesting invariant
-// before loading it into Perfetto.
+// produced by WriteJSON — cmd/tracecheck in CI, or a test of its own —
+// can assert the object form, the required per-event fields, and the
+// batch-span nesting invariant before loading it into Perfetto.
 
 // CheckStats summarizes a validated trace.
 type CheckStats struct {

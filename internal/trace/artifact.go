@@ -2,7 +2,7 @@ package trace
 
 // On-disk compiled-trace artifacts: the persistent tier of Compiled, and
 // the repository's only trace file format. The artifact store below
-// (shared by uvmsim -artifacts, cmd/experiments and sweepd) and uvmsim's
+// (shared by uvmsim -artifacts and cmd/experiments) and uvmsim's
 // -traceout/-tracein files hold the same bytes.
 //
 // UVMCMP1 serializes the compiled form: every struct-of-arrays section
@@ -545,9 +545,8 @@ func boolBytes(s []bool) []byte {
 // satisfies the harness.BuildCache disk-tier contract structurally (Load
 // and Save below), so the harness package needs no trace import. Files
 // are named by the key's SHA-256 and written atomically (temp + rename),
-// making one directory safe to share between concurrent uvmsim,
-// experiments, and sweepd processes — the same discipline as the result
-// Cache.
+// making one directory safe to share between concurrent uvmsim and
+// experiments processes — the same discipline as the result Cache.
 type ArtifactStore struct {
 	dir string
 }
@@ -635,24 +634,4 @@ func (s *ArtifactStore) Save(key string, v any) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// Stats reports the store's file count and total bytes on disk.
-func (s *ArtifactStore) Stats() (files int, bytes int64, err error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != artifactExt {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files++
-		bytes += info.Size()
-	}
-	return files, bytes, nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"uvmsim/internal/trace"
@@ -114,28 +115,72 @@ func TestStreamsArePure(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := w.Kernels[0]
-	drain := func() []trace.Access {
-		var out []trace.Access
-		st := k.Stream(0, 0)
-		for {
-			a, ok := st.Next()
-			if !ok {
-				return out
-			}
-			out = append(out, a)
-		}
+	if i := firstDifference(k.Stream(0, 0), k.Stream(0, 0)); i >= 0 {
+		t.Fatalf("two streams of one warp differ at access %d", i)
 	}
-	a, b := drain(), drain()
-	if len(a) != len(b) {
-		t.Fatalf("stream lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if len(a[i].Addrs) != len(b[i].Addrs) {
-			t.Fatalf("access %d lane counts differ", i)
+}
+
+// TestConcurrentEmitMatchesCompiled holds every catalog generator to
+// Kernel.Emit's contract: a warp may be emitted from concurrent
+// goroutines and must give the same accesses each time. Each workload is
+// compiled once; then goroutines emit every warp of the first blocks of
+// every kernel live (Kernel.Stream) and compare it with the compiled
+// cursor for that warp. Under -race this catches a generator that keeps
+// mutable state in a kernel closure instead of in the Builder.
+func TestConcurrentEmitMatchesCompiled(t *testing.T) {
+	const goroutines, blocks, warpSize = 4, 2, 32
+	p := fidelityParams()
+	for _, name := range All() {
+		w, err := Build(name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for j := range a[i].Addrs {
-			if a[i].Addrs[j] != b[i].Addrs[j] {
-				t.Fatalf("access %d lane %d differs", i, j)
+		c, err := trace.Compile(w, warpSize)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compiled := c.Kernels()
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ki, k := range w.Kernels {
+					ck := &compiled[ki]
+					for b := 0; b < min(blocks, k.Blocks); b++ {
+						for wp := 0; wp < ck.WarpsPerBlock(); wp++ {
+							if i := firstDifference(k.Stream(b, wp), ck.Stream(b, wp)); i >= 0 {
+								t.Errorf("%s kernel %d (%s) block %d warp %d: live emission differs from the compiled trace at access %d",
+									name, ki, k.Name, b, wp, i)
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// firstDifference returns the index of the first access at which the two
+// streams differ, or -1 when they replay identically.
+func firstDifference(a, b trace.WarpStream) int {
+	for i := 0; ; i++ {
+		x, okA := a.Next()
+		y, okB := b.Next()
+		if okA != okB {
+			return i
+		}
+		if !okA {
+			return -1
+		}
+		if x.ComputeCycles != y.ComputeCycles || x.Store != y.Store || len(x.Addrs) != len(y.Addrs) {
+			return i
+		}
+		for j := range x.Addrs {
+			if x.Addrs[j] != y.Addrs[j] {
+				return i
 			}
 		}
 	}
