@@ -16,8 +16,8 @@ test:
 # Race-check the packages that run concurrently: the sweep harness, the
 # experiment runner it drives, and the event engine underneath.
 # internal/core rides along for the UVM-runtime regression tests and the
-# worker-count byte-identity suite, internal/gpu for the cluster protocol
-# those workers execute, and internal/trace and internal/workload for
+# simulation digests (parallel subtests), internal/gpu for the shard/hub
+# cluster protocol, and internal/trace and internal/workload for
 # Kernel.Emit's contract that a warp may be emitted from concurrent
 # goroutines (same list CI runs).
 test-race:

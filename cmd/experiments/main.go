@@ -78,7 +78,6 @@ func run() int {
 	quiet := flag.Bool("q", false, "suppress per-run progress")
 	suite := flag.String("suite", "", "comma-separated workload subset for the policy figures (default: the full 11-workload suite)")
 	jobs := flag.Int("jobs", 1, "parallel simulation workers; 0 = one per CPU")
-	par := flag.Int("par", 1, "intra-run parallelism: event-engine workers per simulation (execution capped at GOMAXPROCS/-jobs, cache keys keep the requested value; results are byte-identical at any value)")
 	timeout := flag.Duration("timeout", 0, "per-simulation wall-time limit (e.g. 30m); 0 = none")
 	cacheDir := flag.String("cachedir", "", "on-disk result cache directory (enables resumable sweeps)")
 	resume := flag.Bool("resume", false, "reuse cached results from an earlier (possibly interrupted) sweep; implies -cachedir "+defaultCacheDir+" when unset")
@@ -160,7 +159,6 @@ func run() int {
 	}
 	pool := harness.New(harness.Options{
 		Jobs:     *jobs,
-		Par:      *par,
 		Timeout:  *timeout,
 		Cache:    cache,
 		Reporter: reporter,
@@ -178,7 +176,6 @@ func run() int {
 	// from exp, the same base perfbench times these grids under.
 	r := exp.NewRunner(p, exp.DefaultBase())
 	r.Pool = pool
-	r.Par = pool.Par()
 	r.Ctx = ctx
 	r.Live = !*compiled
 	switch *artifactDir {

@@ -42,7 +42,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (summary + batch timeline)")
 	timeline := flag.Bool("timeline", false, "render the batch timeline as ASCII (Figure 2's view)")
 	runahead := flag.Int("runahead", 0, "runahead fault-generation depth (0 = off)")
-	par := flag.Int("par", 1, "event-engine workers sharding SM clusters across cores (results are byte-identical at any value; ignored with -exectrace)")
 	traceOut := flag.String("traceout", "", "write the workload's compiled trace (a UVMCMP1 artifact) to this file and exit")
 	traceIn := flag.String("tracein", "", "simulate a trace file (written by -traceout, or any .uvmcmp artifact-store entry) instead of building -workload")
 	execTrace := flag.String("trace", "", "write a Chrome trace-event JSON execution trace (Perfetto-loadable) to this file")
@@ -127,7 +126,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote execution trace %s (%d events)\n", *execTrace, tr.Len())
 	} else {
-		stats, err = core.RunParallel(cfg, w, *par)
+		stats, err = core.Run(cfg, w)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

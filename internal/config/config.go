@@ -122,13 +122,12 @@ type GPU struct {
 	// paper's fixed-latency memory model.
 	DRAMBytesPerCycle uint64
 
-	// SMsPerDomain groups SMs into synchronization domains for the
-	// conservative parallel event engine: each domain (the SMs plus their
-	// private L1 caches and TLBs) runs on its own event queue, with the
-	// shared spine (L2, page walker, UVM runtime, PCIe) as the hub domain.
-	// 0 or negative puts every SM in one domain (no intra-run
-	// parallelism). The partitioning is fixed by the configuration, not by
-	// the worker count, so results are independent of -par.
+	// SMsPerDomain groups SMs into the event domains of sim.System: each
+	// domain (the SMs plus their private L1 caches and TLBs) runs on its
+	// own event queue, with the shared spine (L2, page walker, UVM
+	// runtime, PCIe) as the hub domain. 0 or negative puts every SM in one
+	// domain. The grouping is part of the model: a domain's index ranks
+	// its events among same-cycle ties, so changing it can change results.
 	SMsPerDomain int
 }
 
@@ -329,9 +328,9 @@ func (c *Config) HopCycles() uint64 {
 	return h
 }
 
-// Lookahead returns the epoch width of the conservative parallel engine:
-// the minimum latency of any cross-domain edge, which is the shorter of
-// the request hop and the shortest answer leg.
+// Lookahead returns the window width of sim.System: the minimum latency
+// of any cross-domain edge, which is the shorter of the request hop and
+// the shortest answer leg.
 func (c *Config) Lookahead() uint64 {
 	req := c.HopCycles()
 	ans := c.GPU.L2Latency - req

@@ -54,59 +54,3 @@ func TestCompiledRunAllocationBudget(t *testing.T) {
 			allocs, maxCompiledRunAllocs)
 	}
 }
-
-// maxParRunAllocFactor bounds the parallel path's allocations relative to
-// the sequential path on the identical machine and workload. The parallel
-// run adds only construction-time state (worker goroutines, ready/done
-// channels, per-group run queues); message chunks and engine heaps are
-// pooled across epochs, so steady-state delivery allocates nothing extra.
-const maxParRunAllocFactor = 1.5
-
-// TestParallelRunAllocationBudget is the CI guard for the multi-domain
-// engine's parallel delivery path: a par>1 run of the same compiled
-// workload on the same 4-shard machine must stay within
-// maxParRunAllocFactor of the sequential run. A per-message or per-epoch
-// allocation sneaking into the mailbox/flush/speculation machinery adds
-// thousands of allocations here and fails loudly.
-func TestParallelRunAllocationBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full simulation in -short mode")
-	}
-	w := scanWorkload(64, 16, 256, 6)
-	c, err := trace.Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := c.Workload()
-	cfg := testConfig(config.TOUE)
-	cfg.GPU.NumSMs = 16 // 4 shard domains + hub
-
-	measure := func(par int) float64 {
-		// Warm-up, as in the sequential guard.
-		if _, err := RunParallel(cfg, cw, par); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := RunParallel(cfg, cw, par); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	seq := measure(1)
-	par := measure(4)
-	t.Logf("compiled end-to-end run: seq %.0f allocs/op, par=4 %.0f allocs/op (factor %.2f, budget %.1fx)",
-		seq, par, par/seq, maxParRunAllocFactor)
-	// Small absolute headroom on top of the ratio: the worker pool's
-	// goroutines and channels cost a fixed ~two dozen allocations that
-	// should not be able to fail the guard on an otherwise tiny run.
-	if par > seq*maxParRunAllocFactor+64 {
-		t.Errorf("parallel run allocates %.0f times/op vs %.0f sequential (%.2fx, budget %.1fx); "+
-			"a per-message or per-epoch allocation has probably regressed in internal/sim",
-			par, seq, par/seq, maxParRunAllocFactor)
-	}
-	// Absolute backstop: both legs regressing together must still fail.
-	if par > 2*maxCompiledRunAllocs {
-		t.Errorf("parallel run allocates %.0f times/op, absolute backstop is %d",
-			par, 2*maxCompiledRunAllocs)
-	}
-}

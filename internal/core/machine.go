@@ -27,7 +27,6 @@ type Machine struct {
 	workload  *trace.Workload
 	etc       *etcController
 	tr        *telemetry.Tracer
-	par       int // requested intra-run workers; effective value derived in Run
 	finished  bool
 	kernelIdx int
 }
@@ -52,11 +51,6 @@ func NewMachine(cfg config.Config, w *trace.Workload) (*Machine, error) {
 		return nil, fmt.Errorf("core: workload %q has no kernels", w.Name)
 	}
 	sys := sim.NewSystem(cfg.DomainCount()+1, cfg.Lookahead())
-	// The GPU model is a star: every cross-domain message flows between an
-	// SM shard and the hub (runtime, walker, L2) — gpu.New asserts this.
-	// Declaring the hub pins it into worker group 0 with shard 0 (the
-	// busiest edge fuses) and arms hub-light speculative epochs.
-	sys.SetHub(cfg.DomainCount())
 	m := &Machine{
 		Sys:      sys,
 		Eng:      sys.Engine(cfg.DomainCount()), // hub is the last domain
@@ -127,30 +121,9 @@ func (m *Machine) preloadAll() {
 	}
 }
 
-// SetParallelism requests n worker goroutines for the event system. The
-// effective count degrades automatically (see effectiveWorkers); results
-// are byte-identical at every setting. Call before Run.
-func (m *Machine) SetParallelism(n int) { m.par = n }
-
-// effectiveWorkers applies the sequential-fallback rule: parallel epochs
-// need at least two shard domains, a lookahead wide enough to amortize the
-// barrier, and no tracer (the tracer's span/counter plumbing reads across
-// domains). Anything else runs inline on the caller's goroutine.
-func (m *Machine) effectiveWorkers() int {
-	if m.par < 2 || m.tr != nil {
-		return 1
-	}
-	if m.Cfg.DomainCount() < 2 || m.Sys.Lookahead() < sim.MinLookahead {
-		return 1
-	}
-	return m.par
-}
-
 // Run executes every kernel in order and returns the collected statistics.
 // It fails if the simulation deadlocks or exceeds the cycle limit.
 func (m *Machine) Run() (*metrics.Stats, error) {
-	m.Sys.SetWorkers(m.effectiveWorkers())
-	defer m.Sys.Stop()
 	m.RT.StartController()
 	if m.etc != nil {
 		m.etc.start()
@@ -225,18 +198,10 @@ func (m *Machine) launchNext() {
 
 // Run is the package-level convenience: build a machine and run it.
 func Run(cfg config.Config, w *trace.Workload) (*metrics.Stats, error) {
-	return RunParallel(cfg, w, 1)
-}
-
-// RunParallel builds a machine, requests par event-system workers, and
-// runs it. par <= 1 (and any configuration the fallback rule rejects)
-// executes inline; results are identical at every worker count.
-func RunParallel(cfg config.Config, w *trace.Workload, par int) (*metrics.Stats, error) {
 	m, err := NewMachine(cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	m.SetParallelism(par)
 	return m.Run()
 }
 

@@ -29,7 +29,7 @@ import (
 // simulation semantics change (new mechanisms, timing fixes), so cache
 // entries written by an older simulator are never mistaken for current
 // results.
-const resultsVersion = 5 // v5: explicit (cycle, src, seq) event keys fix one schedule-independent tie order (fused delivery + speculation), reordering some same-cycle ties vs v4
+const resultsVersion = 5 // v5: explicit (cycle, src, seq) event keys fix one tie order independent of the engine's schedule, reordering some same-cycle ties vs v4
 
 // Table is a rendered experiment result.
 type Table struct {
@@ -136,14 +136,6 @@ type Runner struct {
 	// determinism suite guards this); live trades replay speed for not
 	// holding the flattened access arrays in memory.
 	Live bool
-	// Par is the intra-run parallelism for fresh simulations: the worker
-	// count handed to core.RunParallel. <= 1 runs each simulation on one
-	// goroutine (the default); jobs fanned out through Pool instead use
-	// the parallelism the pool stamped on them, which Options.Par budget-
-	// splits against the pool width. Par never affects results — the
-	// multi-domain engine is byte-identical at any worker count — only
-	// wall time.
-	Par int
 	// Builds is the in-process build cache every job of a sweep shares:
 	// one (workload, params, seed) point is built — and, unless Live is
 	// set, compiled — exactly once per process, no matter how many
@@ -309,21 +301,20 @@ func (r *Runner) Run(name string, mutate func(*config.Config)) (*metrics.Stats, 
 	if r.Progress != nil {
 		fmt.Fprintf(r.Progress, "running %s ...\n", j.ID)
 	}
-	e.stats, e.err = r.simulate(j, r.Par)
+	e.stats, e.err = r.simulate(j)
 	close(e.ready)
 	return e.stats, e.err
 }
 
-// simulate executes one job with par event-system workers (the shared
-// leaf of the inline and harness paths). Cycle-limit aborts return their
-// partial stats with a wrapped core.ErrCycleLimit, matching what RunLB
-// callers unwrap.
-func (r *Runner) simulate(j harness.Job, par int) (*metrics.Stats, error) {
+// simulate executes one job (the shared leaf of the inline and harness
+// paths). Cycle-limit aborts return their partial stats with a wrapped
+// core.ErrCycleLimit, matching what RunLB callers unwrap.
+func (r *Runner) simulate(j harness.Job) (*metrics.Stats, error) {
 	w, err := r.Workload(j.Workload)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := core.RunParallel(j.Config, w, par)
+	stats, err := core.Run(j.Config, w)
 	if err != nil {
 		return stats, fmt.Errorf("exp: %s|%s: %w", j.Workload, j.Hash, err)
 	}
@@ -403,18 +394,7 @@ func (r *Runner) RunBatch(specs []RunSpec) error {
 func (r *Runner) simExecutor(ctx context.Context, j harness.Job) (*metrics.Stats, error) {
 	path := harness.TracePath(ctx)
 	if path == "" {
-		// Execution parallelism is the pool's budget-capped value, not
-		// j.Par: the job's Par names the simulation for its cache key,
-		// while RunPar keeps small hosts from oversubscribing. Identical
-		// results either way.
-		par := harness.RunPar(ctx)
-		if par == 0 {
-			par = j.Par
-		}
-		if par == 0 {
-			par = r.Par // pool without Par set: fall back to the runner's
-		}
-		return r.simulate(j, par)
+		return r.simulate(j)
 	}
 	w, err := r.Workload(j.Workload)
 	if err != nil {

@@ -5,17 +5,15 @@
 // internal/vm; the UVM runtime (internal/core) plugs in through the
 // FaultSink interface.
 //
-// The cluster is partitioned into synchronization domains for the
-// conservative parallel event engine (sim.System): each shard — a group of
-// SMs with their private warps, L1 caches, and L1 TLBs — owns one domain,
-// and the shared spine (L2 TLB, L2 cache, page walker, DRAM channel, UVM
-// runtime) lives in the hub domain. All shard<->hub interaction flows
-// through sim.System sends with at least the lookahead's worth of latency:
-// the request leg of an L2 access is the shard->hub hop, the rest of the
-// nominal latency is charged hub-side, so end-to-end latencies match the
-// single-queue model while every edge leaves the engine room to overlap
-// domains. The partitioning is fixed by config.GPU.SMsPerDomain — never by
-// the worker count — so results are byte-identical at any parallelism.
+// The cluster is partitioned into the event domains of sim.System: each
+// shard — a group of SMs with their private warps, L1 caches, and L1
+// TLBs — owns one domain, and the shared spine (L2 TLB, L2 cache, page
+// walker, DRAM channel, UVM runtime) lives in the hub domain. All
+// shard<->hub interaction flows through sim.System sends with at least the
+// lookahead's worth of latency: the request leg of an L2 access is the
+// shard->hub hop, and the rest of the nominal latency is charged hub-side.
+// The partitioning is fixed by config.GPU.SMsPerDomain and is part of the
+// model: a domain's index ranks its events among same-cycle ties.
 package gpu
 
 import (
@@ -54,10 +52,10 @@ type SM struct {
 	deferred      []*Warp
 }
 
-// shard is one SM synchronization domain: a slice of the GPU's SMs plus
-// everything those SMs touch on the per-access hot path. All shard state
-// is mutated only by events on the shard's own engine, so shards of one
-// cluster can execute an epoch concurrently.
+// shard is one SM event domain: a slice of the GPU's SMs plus everything
+// those SMs touch on the per-access hot path. All shard state is mutated
+// only by events on the shard's own engine, so the order in which
+// sim.System runs the domains of one window cannot change it.
 type shard struct {
 	c   *Cluster
 	dom int
@@ -187,12 +185,7 @@ func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageT
 	// The cluster's messaging is a strict star: shards talk only to the
 	// hub (faults, dirty notices, runahead, block completion) and the hub
 	// only to shards (launches, page arrivals, invalidations, translation
-	// answers). If the machine declared a hub for speculative epochs it
-	// must be this one — shard-to-shard traffic under a wrong declaration
-	// would make the speculation commit barrier panic.
-	if h := sys.Hub(); h >= 0 && h != nd {
-		panic(fmt.Sprintf("gpu: system hub is domain %d, cluster hub is %d", h, nd))
-	}
+	// answers).
 	hub := nd
 	eng := sys.Engine(hub)
 	c := &Cluster{
@@ -773,7 +766,7 @@ func (c *Cluster) faultFrom(s *shard, page uint64) {
 // L1 TLB: a request hop to the hub's L2 TLB, possibly a page walk, and an
 // answer hop back. Requests are pooled on the shard; the callbacks are
 // bound once at construction so re-scheduling never allocates. Ownership
-// alternates shard -> hub -> shard; the epoch barrier orders the handoff.
+// alternates shard -> hub -> shard, handed over by each hop's send.
 type xlatReq struct {
 	s        *shard
 	sm       *SM

@@ -17,7 +17,6 @@ type Event struct {
 	Key      string `json:"key,omitempty"`
 	Workload string `json:"workload,omitempty"`
 	Seed     uint64 `json:"seed,omitempty"`
-	Par      int    `json:"par,omitempty"`
 	// Status is "done", "cached" (served from the result store), or
 	// "failed".
 	Status string `json:"status"`
@@ -45,7 +44,6 @@ func jobEvent(res *Result, completed, submitted int) Event {
 		Key:       res.Key(),
 		Workload:  res.Workload,
 		Seed:      res.Seed,
-		Par:       res.Par,
 		Status:    status,
 		Err:       res.Err,
 		WallNS:    res.WallNS,

@@ -16,8 +16,8 @@ import (
 // JSON line and decodes back to an identical value.
 func TestEventJSONRoundTrip(t *testing.T) {
 	ev := Event{
-		Type: "job", ID: "fig11/BFS-TTC/TO+UE", Key: "BFS-TTC|abc123|7|par2",
-		Workload: "BFS-TTC", Seed: 7, Par: 2,
+		Type: "job", ID: "fig11/BFS-TTC/TO+UE", Key: "BFS-TTC|abc123|7",
+		Workload: "BFS-TTC", Seed: 7,
 		Status: "failed", Err: "boom", WallNS: 1234,
 		Completed: 3, Submitted: 9,
 	}

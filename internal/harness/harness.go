@@ -35,12 +35,9 @@ type Executor func(ctx context.Context, j Job) (*metrics.Stats, error)
 type Options struct {
 	// Jobs is the worker count; <= 0 means runtime.GOMAXPROCS(0).
 	Jobs int
-	// Par is the intra-run parallelism stamped onto each job that does
-	// not set its own: the number of worker goroutines the simulation
-	// itself may use (see core.RunParallel). <= 0 means 1 (sequential).
-	// When Jobs x Par oversubscribes runtime.GOMAXPROCS(0), Par is
-	// trimmed so the combined goroutine budget fits: sweep throughput
-	// (one core per job) beats intra-run speedup, so Jobs keeps priority.
+	// Par is ignored: every simulation runs on one goroutine. It is kept
+	// only because perfbench's grid runner (perfbench/grid.go) still sets
+	// Par: 1; delete it together with that line.
 	Par int
 	// Timeout bounds each job's wall time; 0 means no limit.
 	Timeout time.Duration
@@ -61,34 +58,17 @@ type Options struct {
 // accumulates totals across all of them.
 type Pool struct {
 	workers  int
-	par      int // requested per-job parallelism: stamped into keys
-	parCap   int // host budget: what actually executes (see RunPar)
 	timeout  time.Duration
 	cache    *Cache
 	rep      *Reporter
 	traceDir string
 }
 
-// New builds a pool from opts. The requested Par is normalized (>= 1) but
-// never trimmed to the host: it names the simulation the caller asked
-// for and goes into cache keys verbatim, so the same submission hashes
-// identically on every host. The goroutine budget split happens at
-// execution time instead — each job runs with min(Par, GOMAXPROCS/jobs)
-// workers (jobs keep priority), delivered to executors via RunPar.
-// Results are byte-identical either way, so capping execution while
-// keying by request is sound.
+// New builds a pool from opts.
 func New(opts Options) *Pool {
 	workers := opts.Jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	par := opts.Par
-	if par < 1 {
-		par = 1
-	}
-	parCap := runtime.GOMAXPROCS(0) / workers
-	if parCap < 1 {
-		parCap = 1
 	}
 	rep := opts.Reporter
 	if rep == nil {
@@ -97,8 +77,6 @@ func New(opts Options) *Pool {
 	rep.setWorkers(workers)
 	return &Pool{
 		workers:  workers,
-		par:      par,
-		parCap:   parCap,
 		timeout:  opts.Timeout,
 		cache:    opts.Cache,
 		rep:      rep,
@@ -108,16 +86,6 @@ func New(opts Options) *Pool {
 
 // Workers returns the pool width.
 func (p *Pool) Workers() int { return p.workers }
-
-// Par returns the requested per-job intra-run parallelism (normalized to
-// >= 1, but not trimmed to the host's core budget — this is the value
-// stamped into cache keys; see RunPar for what actually executes).
-func (p *Pool) Par() int { return p.par }
-
-// ParCap returns the per-job goroutine budget: GOMAXPROCS split across
-// the pool's workers (jobs keep priority), never below 1. Execution-time
-// parallelism for any job is min(Job.Par, ParCap).
-func (p *Pool) ParCap() int { return p.parCap }
 
 // Reporter returns the pool's progress reporter.
 func (p *Pool) Reporter() *Reporter { return p.rep }
@@ -171,17 +139,6 @@ feed:
 
 // runJob produces one job's result: cache hit, fresh run, or failure.
 func (p *Pool) runJob(ctx context.Context, j Job, exec Executor) Result {
-	if j.Par == 0 {
-		j.Par = p.par // stamp before the cache lookup: Par is in the key
-	}
-	// The key carries the requested Par; the host budget caps only what
-	// executes. Byte-identity across worker counts is what makes the two
-	// safely distinct.
-	runPar := j.Par
-	if runPar > p.parCap {
-		runPar = p.parCap
-	}
-	ctx = withRunPar(ctx, runPar)
 	if p.cache != nil && !j.NoCache {
 		if res, ok := p.cache.Get(j.Key()); ok {
 			res.ID = j.ID // display label of this sweep, not the writing one
@@ -189,7 +146,7 @@ func (p *Pool) runJob(ctx context.Context, j Job, exec Executor) Result {
 			return *res
 		}
 	}
-	res := Result{ID: j.ID, Workload: j.Workload, Hash: j.Hash, Seed: j.Seed, Par: j.Par}
+	res := Result{ID: j.ID, Workload: j.Workload, Hash: j.Hash, Seed: j.Seed}
 	tracePath := ""
 	if p.traceDir != "" {
 		tracePath = filepath.Join(p.traceDir, traceFileName(j.ID))

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -328,155 +326,6 @@ func TestHashPartsSensitivity(t *testing.T) {
 	}
 	if h4 == h1 {
 		t.Fatal("version salt did not change the hash")
-	}
-}
-
-// TestPoolParBudgetSplit pins the goroutine-budget rule: the requested Par
-// survives normalization untrimmed (it names the simulation and goes into
-// cache keys), while ParCap — GOMAXPROCS split across the job workers,
-// jobs keeping priority — bounds what executes, never dropping below 1.
-func TestPoolParBudgetSplit(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		jobs, par int
-		wantPar   int
-	}{
-		{1, 0, 1},                       // unset: sequential
-		{1, maxprocs, maxprocs},         // exactly the budget
-		{1, maxprocs * 4, maxprocs * 4}, // oversubscribed: request kept, cap absorbs it
-		{maxprocs, 8, 8},                // pool already saturates: cap floors at 1
-		{maxprocs * 2, 2, 2},            // even an oversubscribed pool keeps cap >= 1
-	}
-	for _, tc := range cases {
-		if tc.jobs < 1 {
-			continue // degenerate on single-core runners
-		}
-		p := New(Options{Jobs: tc.jobs, Par: tc.par})
-		if got := p.Par(); got != tc.wantPar {
-			t.Errorf("New(Jobs:%d, Par:%d): Par() = %d, want the requested value %d",
-				tc.jobs, tc.par, got, tc.wantPar)
-		}
-		wantCap := maxprocs / tc.jobs
-		if wantCap < 1 {
-			wantCap = 1
-		}
-		if got := p.ParCap(); got != wantCap {
-			t.Errorf("New(Jobs:%d, Par:%d) with GOMAXPROCS=%d: ParCap() = %d, want %d",
-				tc.jobs, tc.par, maxprocs, got, wantCap)
-		}
-		if p.Workers() != tc.jobs {
-			t.Errorf("New(Jobs:%d, Par:%d): Workers() = %d, job width must keep priority",
-				tc.jobs, tc.par, p.Workers())
-		}
-	}
-}
-
-// TestPoolParKeyStableUnderTrimming pins the cross-host key contract: a
-// pool whose requested Par exceeds the host's goroutine budget still
-// stamps the *requested* Par into job keys (identical on every host, so
-// a result cache copied between hosts still hits), while executors
-// observe the budget-capped parallelism via RunPar — for stamped and
-// preset jobs alike.
-func TestPoolParKeyStableUnderTrimming(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	req := maxprocs*4 + 1 // guaranteed above any host budget
-	p := New(Options{Jobs: 2, Par: req})
-	if got := p.Par(); got != req {
-		t.Fatalf("Par() = %d, want requested %d — keys must not depend on GOMAXPROCS", got, req)
-	}
-	wantCap := maxprocs / 2
-	if wantCap < 1 {
-		wantCap = 1
-	}
-	if got := p.ParCap(); got != wantCap {
-		t.Fatalf("ParCap() = %d, want %d", got, wantCap)
-	}
-
-	type seen struct{ jobPar, runPar int }
-	got := make(map[string]seen)
-	var mu sync.Mutex
-	exec := func(ctx context.Context, j Job) (*metrics.Stats, error) {
-		mu.Lock()
-		got[j.ID] = seen{j.Par, RunPar(ctx)}
-		mu.Unlock()
-		return statsFor(j), nil
-	}
-	stamped := fakeJob(0)
-	stamped.ID = "stamped"
-	preset := fakeJob(1)
-	preset.ID = "preset"
-	preset.Par = maxprocs*8 + 1 // driver-set, even larger than the pool's
-	results, err := p.Run(context.Background(), []Job{stamped, preset}, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := got["stamped"]; s.jobPar != req || s.runPar != wantCap {
-		t.Errorf("stamped job saw (Par=%d, RunPar=%d), want (%d, %d)", s.jobPar, s.runPar, req, wantCap)
-	}
-	if s := got["preset"]; s.jobPar != preset.Par || s.runPar != wantCap {
-		t.Errorf("preset job saw (Par=%d, RunPar=%d), want (%d, %d): preset Par must be capped at execution too",
-			s.jobPar, s.runPar, preset.Par, wantCap)
-	}
-	// The result records the key-forming Par, not the host cap.
-	if results[0].Par != req {
-		t.Errorf("stamped result Par = %d, want requested %d", results[0].Par, req)
-	}
-	wantKey := fmt.Sprintf("%s|%s|%d|par%d", stamped.Workload, stamped.Hash, stamped.Seed, req)
-	j := stamped
-	j.Par = req
-	if j.Key() != wantKey {
-		t.Errorf("trimmed-pool job key = %q, want %q (requested Par, host-independent)", j.Key(), wantKey)
-	}
-}
-
-// TestPoolParInCacheKey pins the cache-entry separation contract: a job
-// run at one parallelism never serves a hit for the same job at another.
-// Jobs that leave Par unset are stamped with the pool's requested value
-// before the cache lookup; jobs that preset Par keep it.
-func TestPoolParInCacheKey(t *testing.T) {
-	j := fakeJob(0)
-	seq, par2, par4 := j, j, j
-	seq.Par, par2.Par, par4.Par = 1, 2, 4
-	if j.Key() != seq.Key() { // par<=1 are both sequential: shared entry
-		t.Fatalf("sequential keys differ: unset=%q par1=%q", j.Key(), seq.Key())
-	}
-	if seq.Key() == par4.Key() || par2.Key() == par4.Key() {
-		t.Fatalf("cache keys collide across parallelism: par1=%q par2=%q par4=%q",
-			seq.Key(), par2.Key(), par4.Key())
-	}
-	par := par4
-
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runsAt := make(map[int]int) // executor-observed Par -> fresh-run count
-	exec := func(_ context.Context, j Job) (*metrics.Stats, error) {
-		runsAt[j.Par]++
-		return statsFor(j), nil
-	}
-	p := New(Options{Jobs: 1, Par: 1, Cache: cache})
-	run := func(j Job) Result {
-		t.Helper()
-		res, err := p.Run(context.Background(), []Job{j}, exec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res[0]
-	}
-	if res := run(fakeJob(0)); res.Cached { // unset Par: stamped to pool's 1
-		t.Fatal("first sequential run reported a cache hit")
-	}
-	// Same job preset to par=4 (driver-set, bypasses the stamp): the
-	// sequential entry must not serve it.
-	if res := run(par); res.Cached {
-		t.Fatal("par=4 run hit the sequential cache entry")
-	}
-	if res := run(par); !res.Cached { // and it caches under its own key
-		t.Fatal("second par=4 run missed its own cache entry")
-	}
-	if runsAt[1] != 1 || runsAt[4] != 1 {
-		t.Fatalf("fresh runs by parallelism = %v, want one each at 1 and 4", runsAt)
 	}
 }
 

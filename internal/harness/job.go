@@ -11,9 +11,8 @@ import (
 
 // Job names one independent simulation run inside a sweep.
 //
-// Identity is the triple (Workload, Hash, Seed) — plus the worker count
-// for parallel runs (Par > 1): two jobs with the same identity are
-// interchangeable, which is what lets the on-disk cache resume an
+// Identity is the triple (Workload, Hash, Seed): two jobs with the same
+// identity are interchangeable, which is what lets the on-disk cache resume an
 // interrupted sweep. Hash must cover everything that influences the
 // result — the full simulated-system configuration plus the workload
 // generation parameters — so callers build it with HashParts over both.
@@ -32,23 +31,10 @@ type Job struct {
 	// NoCache exempts the job from the result cache (used for jobs whose
 	// value is a side effect, like pre-building a workload's traces).
 	NoCache bool
-	// Par is the *requested* intra-run parallelism; 0 lets the pool stamp
-	// its own (see Options.Par). Part of the cache key: parallel and
-	// sequential runs are byte-identical by construction, but never
-	// sharing entries keeps any engine divergence diagnosable from cached
-	// sweeps instead of silently laundered through them. Execution uses
-	// the budget-capped min(Par, Pool.ParCap) — delivered via RunPar — so
-	// the key, unlike the goroutine count, is host-independent.
-	Par int
 }
 
-// Key returns the job's cache identity. Sequential runs (Par <= 1,
-// including jobs from pre-Par sweeps) keep the historical key shape;
-// parallel runs get a distinct entry per worker count.
+// Key returns the job's cache identity.
 func (j Job) Key() string {
-	if j.Par > 1 {
-		return fmt.Sprintf("%s|%s|%d|par%d", j.Workload, j.Hash, j.Seed, j.Par)
-	}
 	return fmt.Sprintf("%s|%s|%d", j.Workload, j.Hash, j.Seed)
 }
 

@@ -19,7 +19,6 @@ type Result struct {
 	Workload string `json:"workload"`
 	Hash     string `json:"hash"`
 	Seed     uint64 `json:"seed"`
-	Par      int    `json:"par,omitempty"`
 
 	Stats *metrics.Stats `json:"stats,omitempty"`
 	Err   string         `json:"err,omitempty"`
@@ -36,7 +35,7 @@ type Result struct {
 
 // Key returns the result's cache identity (mirrors Job.Key).
 func (r *Result) Key() string {
-	return Job{Workload: r.Workload, Hash: r.Hash, Seed: r.Seed, Par: r.Par}.Key()
+	return Job{Workload: r.Workload, Hash: r.Hash, Seed: r.Seed}.Key()
 }
 
 // Wall returns the executor wall time as a duration.

@@ -29,27 +29,6 @@ func TracePath(ctx context.Context) string {
 	return p
 }
 
-// runParKey is the context key carrying a job's execution parallelism.
-type runParKey struct{}
-
-// withRunPar attaches the budget-capped intra-run parallelism to a job's
-// context.
-func withRunPar(ctx context.Context, par int) context.Context {
-	return context.WithValue(ctx, runParKey{}, par)
-}
-
-// RunPar returns the intra-run parallelism the current job should execute
-// with: min(Job.Par, pool goroutine budget). Executors must run with this
-// value rather than Job.Par — Job.Par names the simulation for cache
-// keying (host-independent), while RunPar keeps a small host from
-// oversubscribing. Results are byte-identical at any worker count, so the
-// distinction never changes what a job computes. Returns 0 for contexts
-// outside a pool run (callers fall back to their own default).
-func RunPar(ctx context.Context) int {
-	p, _ := ctx.Value(runParKey{}).(int)
-	return p
-}
-
 // traceFileName derives a filesystem-safe trace file name from a job ID
 // (IDs embed sweep paths like "fig11/BFS-TTC/TO+UE").
 func traceFileName(id string) string {

@@ -9,9 +9,8 @@
 // sequence number, so the tie order is (cycle, source domain, send order)
 // — a pure function of what was scheduled, independent of when the events
 // were inserted into the queue. That independence is what lets the
-// multi-domain System (system.go) deliver cross-domain messages directly,
-// at barriers, or under speculation and still produce byte-identical
-// simulations.
+// multi-domain System (system.go) run its domains in windows of any
+// placement and still produce byte-identical simulations.
 package sim
 
 import "fmt"
@@ -66,7 +65,6 @@ type Engine struct {
 	now      Cycle
 	seq      uint64
 	rankBase uint64  // rank << rankShift, ORed into self-scheduled keys
-	lastKey  uint64  // max key dispatched at `now` (the dispatch cursor)
 	queue    []event // 4-ary min-heap ordered by event.before
 	nEvent   uint64  // total events dispatched
 }
@@ -132,11 +130,6 @@ func (e *Engine) ScheduleArg(when Cycle, argFn func(uint64), arg uint64) {
 	e.siftUp(len(e.queue) - 1)
 }
 
-// AfterArg runs argFn(arg) delay cycles from now.
-func (e *Engine) AfterArg(delay Cycle, argFn func(uint64), arg uint64) {
-	e.ScheduleArg(e.now+delay, argFn, arg)
-}
-
 // scheduleKeyed inserts an event carrying a caller-supplied key — a
 // cross-domain delivery whose tie order was fixed by the *sender's* rank
 // and send sequence. The receiving engine's own sequence is untouched.
@@ -148,17 +141,6 @@ func (e *Engine) scheduleKeyed(when Cycle, key uint64, fn func(), argFn func(uin
 	e.siftUp(len(e.queue) - 1)
 }
 
-// deliverable reports whether an event at (when, key) would still dispatch
-// in order if inserted now: it must lie strictly after the engine's
-// dispatch cursor (now, lastKey). The speculation validator uses this to
-// detect late messages that landed inside an already-executed window.
-func (e *Engine) deliverable(when Cycle, key uint64) bool {
-	if when != e.now {
-		return when > e.now
-	}
-	return key > e.lastKey
-}
-
 // NextTime returns the cycle of the earliest pending event. ok is false
 // when the queue is empty.
 func (e *Engine) NextTime() (when Cycle, ok bool) {
@@ -166,27 +148,6 @@ func (e *Engine) NextTime() (when Cycle, ok bool) {
 		return 0, false
 	}
 	return e.queue[0].when, true
-}
-
-// Reset returns the engine to cycle zero with an empty queue, dropping all
-// pending events. The rank survives — it is wiring, not run state. When
-// the queue's backing array has grown past watermark events it is released
-// to the allocator, so a harness that reuses one engine across a sweep
-// does not pin the peak-heap footprint of its largest run. A watermark of
-// 0 always releases the array.
-func (e *Engine) Reset(watermark int) {
-	if cap(e.queue) > watermark {
-		e.queue = nil
-	} else {
-		for i := range e.queue {
-			e.queue[i] = event{} // release closures
-		}
-		e.queue = e.queue[:0]
-	}
-	e.now = 0
-	e.seq = 0
-	e.lastKey = 0
-	e.nEvent = 0
 }
 
 // siftUp restores the heap property from leaf i toward the root.
@@ -240,7 +201,7 @@ func (e *Engine) Step() bool {
 	if n == 0 {
 		return false
 	}
-	when, key, fn := e.queue[0].when, e.queue[0].key, e.queue[0].fn
+	when, fn := e.queue[0].when, e.queue[0].fn
 	argFn, arg := e.queue[0].argFn, e.queue[0].arg
 	n--
 	if n > 0 {
@@ -252,17 +213,7 @@ func (e *Engine) Step() bool {
 		e.queue[0].fn, e.queue[0].argFn = nil, nil
 		e.queue = e.queue[:0]
 	}
-	// lastKey is the max key dispatched at the current cycle, not simply
-	// the latest: a callback may schedule an own-rank event at the current
-	// cycle with a smaller key than a cross-domain delivery that already
-	// ran, and the speculation validator needs the cursor to stay at the
-	// high-water mark.
-	if when != e.now {
-		e.now = when
-		e.lastKey = key
-	} else if key > e.lastKey {
-		e.lastKey = key
-	}
+	e.now = when
 	e.nEvent++
 	if fn != nil {
 		fn()
@@ -291,16 +242,4 @@ func (e *Engine) RunUntil(limit Cycle) bool {
 		e.Step()
 	}
 	return true
-}
-
-// RunFor dispatches up to n events and reports how many were dispatched.
-// It is mainly a guard against accidental infinite simulations in tests.
-func (e *Engine) RunFor(n uint64) uint64 {
-	var i uint64
-	for ; i < n; i++ {
-		if !e.Step() {
-			break
-		}
-	}
-	return i
 }

@@ -111,22 +111,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineRunFor(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 10; i++ {
-		e.Schedule(Cycle(i), func() {})
-	}
-	if n := e.RunFor(4); n != 4 {
-		t.Fatalf("RunFor(4) = %d", n)
-	}
-	if n := e.RunFor(100); n != 6 {
-		t.Fatalf("RunFor(100) after 4 = %d, want 6", n)
-	}
-	if e.Dispatched() != 10 {
-		t.Fatalf("Dispatched = %d, want 10", e.Dispatched())
-	}
-}
-
 // TestEngineExactOrderVsSortedReference pins the dispatch sequence — not
 // just monotonicity — against a stable sort by (when, scheduling order),
 // under interleaved scheduling and stepping. This is the invariant the
@@ -261,41 +245,5 @@ func TestEngineRunUntilExactlyAtLimit(t *testing.T) {
 	}
 	if len(hits) != 2 || hits[1] != 101 {
 		t.Fatalf("events after second RunUntil = %v, want [100 101]", hits)
-	}
-}
-
-func TestEngineResetReleasesPastWatermark(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 1000; i++ {
-		e.Schedule(Cycle(i), func() {})
-	}
-	e.Run()
-	for i := 0; i < 1000; i++ {
-		e.Schedule(Cycle(1000+i), func() {})
-	}
-	if cap(e.queue) < 1000 {
-		t.Fatalf("queue capacity = %d, expected growth past 1000", cap(e.queue))
-	}
-	e.Reset(64)
-	if cap(e.queue) != 0 {
-		t.Fatalf("Reset(64) kept a %d-event backing array", cap(e.queue))
-	}
-	if e.Now() != 0 || e.Pending() != 0 || e.Dispatched() != 0 {
-		t.Fatalf("Reset left now=%d pending=%d dispatched=%d", e.Now(), e.Pending(), e.Dispatched())
-	}
-
-	// Below the watermark the array is kept (but cleared) for reuse.
-	for i := 0; i < 32; i++ {
-		e.Schedule(Cycle(i), func() {})
-	}
-	kept := cap(e.queue)
-	e.Reset(64)
-	if cap(e.queue) != kept {
-		t.Fatalf("Reset(64) released a %d-event array under the watermark", kept)
-	}
-	ran := false
-	e.Schedule(5, func() { ran = true })
-	if e.Run() != 5 || !ran {
-		t.Fatal("engine unusable after Reset")
 	}
 }

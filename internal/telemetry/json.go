@@ -22,7 +22,6 @@ type jsonEvent struct {
 	Dur   *float64       `json:"dur,omitempty"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
-	S     string         `json:"s,omitempty"` // instant scope
 	Args  map[string]any `json:"args,omitempty"`
 }
 
@@ -78,9 +77,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			je.Phase = "C"
 			je.TID = 0 // counters are per-process tracks keyed by name
 			je.Args = map[string]any{"value": ev.Value}
-		case 'I':
-			je.Phase = "I"
-			je.S = "t" // thread-scoped instant
 		default:
 			je.Phase = string(ev.Phase)
 		}

@@ -50,7 +50,7 @@ var trackNames = map[int]string{
 
 // Event is one trace record, in cycles. Phase follows the Chrome
 // trace-event vocabulary: 'X' complete spans (Dur meaningful), 'C'
-// counters (Value meaningful), 'I' instants.
+// counters (Value meaningful).
 type Event struct {
 	Name  string
 	Phase byte
@@ -58,7 +58,7 @@ type Event struct {
 	Dur   uint64
 	Track int
 	Value float64        // counters only
-	Args  map[string]any // optional span/instant arguments
+	Args  map[string]any // optional span arguments
 }
 
 // sampler is one registered counter source.
@@ -119,14 +119,6 @@ func (t *Tracer) SpanArgs(track int, name string, start, dur uint64, args map[st
 		return
 	}
 	t.events = append(t.events, Event{Name: name, Phase: 'X', TS: start, Dur: dur, Track: track, Args: args})
-}
-
-// Instant records a zero-duration marker at the current cycle.
-func (t *Tracer) Instant(track int, name string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, Event{Name: name, Phase: 'I', TS: t.clock.Now(), Track: track, Args: args})
 }
 
 // Counter records a named counter value at the current cycle.

@@ -20,7 +20,6 @@ func TestNilTracerIsInertEverywhere(t *testing.T) {
 	// calls living on the simulator's hot paths.
 	tr.Span(TrackBatches, "x", 0, 1)
 	tr.SpanArgs(TrackBatches, "x", 0, 1, map[string]any{"k": 1})
-	tr.Instant(TrackBatches, "x", nil)
 	tr.Counter("c", 1)
 	tr.CounterAt(5, "c", 1)
 	tr.Migration(7, 0, 10, true)
@@ -98,7 +97,6 @@ func TestWriteJSONChromeTraceFormat(t *testing.T) {
 	tr.Eviction(3, 1000, 5000, true, true)
 	clk.now = 90000
 	tr.Counter("to_degree", 1)
-	tr.Instant(TrackSwitches, "marker", nil)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -122,7 +120,7 @@ func TestWriteJSONChromeTraceFormat(t *testing.T) {
 	if f.DisplayTimeUnit != "ns" {
 		t.Fatalf("displayTimeUnit = %q", f.DisplayTimeUnit)
 	}
-	var spans, counters, metas, instants int
+	var spans, counters, metas int
 	for _, e := range f.TraceEvents {
 		if e.Name == "" || e.Ph == "" || e.TS == nil || e.PID == nil || e.TID == nil {
 			t.Fatalf("event missing required fields: %+v", e)
@@ -140,12 +138,10 @@ func TestWriteJSONChromeTraceFormat(t *testing.T) {
 			counters++
 		case "M":
 			metas++
-		case "I":
-			instants++
 		}
 	}
-	if spans != 3 || counters != 1 || instants != 1 {
-		t.Fatalf("spans=%d counters=%d instants=%d", spans, counters, instants)
+	if spans != 3 || counters != 1 {
+		t.Fatalf("spans=%d counters=%d", spans, counters)
 	}
 	if metas < 1+len(trackNames) {
 		t.Fatalf("metadata events = %d, want >= %d", metas, 1+len(trackNames))
