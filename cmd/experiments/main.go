@@ -83,7 +83,6 @@ func run() int {
 	resume := flag.Bool("resume", false, "reuse cached results from an earlier (possibly interrupted) sweep; implies -cachedir "+defaultCacheDir+" when unset")
 	benchJSON := flag.String("bench-json", "", "write sweep telemetry (wall time, speedup, cache hits) to this JSON file")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON execution trace per freshly-run job into this directory (cache hits are not traced)")
-	progressJSON := flag.String("progress-json", "", "stream one JSON line per finished job (a harness.Event) to this file ('-' for stderr)")
 	compiled := flag.Bool("compiled", true, "replay workloads from compiled flat traces shared across jobs (identical results; -compiled=false regenerates streams live, using less memory)")
 	artifactDir := flag.String("artifact-dir", "auto", "on-disk compiled-trace artifact store, shareable with cmd/uvmsim -artifacts; \"auto\" = <cachedir>/artifacts when a cache is on (else off), \"off\" disables")
 	buildBytes := flag.Int64("build-cache-bytes", 0, "in-memory compiled-workload byte budget (LRU eviction past it); 0 = unbounded")
@@ -144,25 +143,11 @@ func run() int {
 		}
 	}
 	reporter := harness.NewReporter(progress)
-	if *progressJSON != "" {
-		if *progressJSON == "-" {
-			reporter.Events = os.Stderr
-		} else {
-			f, err := os.Create(*progressJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			defer f.Close()
-			reporter.Events = f
-		}
-	}
 	pool := harness.New(harness.Options{
 		Jobs:     *jobs,
 		Timeout:  *timeout,
 		Cache:    cache,
 		Reporter: reporter,
-		TraceDir: *traceDir,
 	})
 
 	// Ctrl-C / SIGTERM stops feeding new jobs and exits after the
@@ -177,6 +162,7 @@ func run() int {
 	r := exp.NewRunner(p, exp.DefaultBase())
 	r.Pool = pool
 	r.Ctx = ctx
+	r.TraceDir = *traceDir
 	r.Live = !*compiled
 	switch *artifactDir {
 	case "auto":

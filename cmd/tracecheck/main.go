@@ -1,6 +1,6 @@
 // Command tracecheck structurally validates a Chrome trace-event JSON
 // file produced by the execution tracer (cmd/uvmsim -trace, or
-// cmd/experiments -trace-dir through the harness's per-job TraceDir).
+// cmd/experiments -trace-dir, which sets exp.Runner.TraceDir).
 // It is the CI smoke for the telemetry export; the checks themselves
 // live in telemetry.Check so any trace consumer can run them. Exit
 // status 0 means Perfetto will load the file and the spans mean what

@@ -86,7 +86,7 @@ type GPU struct {
 	NumSMs         int // 16
 	ClockGHz       float64
 	ThreadsPerSM   int    // 1024
-	WarpSize       int    // 32
+	WarpSize       int    // 32, the only width Validate accepts
 	RegistersPerSM int    // 256KB of 32-bit registers = 65536
 	MaxBlocksPerSM int    // architectural block slots per SM
 	SharedMemPerSM uint64 // bytes, for context-switch feasibility checks
@@ -207,7 +207,6 @@ type Config struct {
 	GPU    GPU
 	UVM    UVM
 	Policy Policy
-	Seed   uint64
 	// MaxCycles aborts runaway simulations; 0 means no limit.
 	MaxCycles uint64
 	// Preload maps the whole workload footprint before launch (the
@@ -282,7 +281,6 @@ func Default() Config {
 			ETCDecompressCycles:  30,
 		},
 		Policy:    Baseline,
-		Seed:      1,
 		MaxCycles: 0,
 	}
 }
@@ -367,7 +365,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: NumSMs = %d", g.NumSMs)
 	case g.ClockGHz <= 0:
 		return fmt.Errorf("config: ClockGHz = %v", g.ClockGHz)
-	case g.WarpSize <= 0 || g.ThreadsPerSM%g.WarpSize != 0:
+	case g.WarpSize != 32:
+		// threadCentricKernel, warpCentricKernel and edgeOpsWarp
+		// (internal/workload/common.go) lay lanes out 32 wide, so any
+		// other width would silently simulate the wrong threads.
+		return fmt.Errorf("config: WarpSize %d unsupported: the workload generators emit 32-lane warps", g.WarpSize)
+	case g.ThreadsPerSM%g.WarpSize != 0:
 		return fmt.Errorf("config: ThreadsPerSM %d not a multiple of WarpSize %d", g.ThreadsPerSM, g.WarpSize)
 	case g.RegistersPerSM <= 0:
 		return fmt.Errorf("config: RegistersPerSM = %d", g.RegistersPerSM)

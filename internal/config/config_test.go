@@ -106,6 +106,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}{
 		{"zero SMs", func(c *Config) { c.GPU.NumSMs = 0 }, "NumSMs"},
 		{"bad warp multiple", func(c *Config) { c.GPU.ThreadsPerSM = 1000 }, "WarpSize"},
+		{"warp 16", func(c *Config) { c.GPU.WarpSize = 16 }, "WarpSize 16"},
 		{"non-pow2 line", func(c *Config) { c.GPU.LineBytes = 100 }, "LineBytes"},
 		{"non-pow2 page", func(c *Config) { c.UVM.PageBytes = 3000 }, "PageBytes"},
 		{"zero fault buffer", func(c *Config) { c.UVM.FaultBufferEntries = 0 }, "FaultBufferEntries"},

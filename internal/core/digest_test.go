@@ -119,10 +119,10 @@ func TestSimulationDigests(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEpochsReduceBarriers pins the event count of a real faulting
+// TestDispatchedEventCount pins the event count of a real faulting
 // workload on four shard domains: the explicit-key total order fixes every
 // dispatched event, wherever the windows fall.
-func TestAdaptiveEpochsReduceBarriers(t *testing.T) {
+func TestDispatchedEventCount(t *testing.T) {
 	cfg := testConfig(config.Baseline)
 	cfg.GPU.SMsPerDomain = 1 // 4 shard domains on the 4-SM test config
 	m, err := NewMachine(cfg, scanWorkload(64, 8, 64, 4))

@@ -100,6 +100,8 @@ func (m *Machine) AttachTracer(tr *telemetry.Tracer) {
 	m.tr = tr
 	m.RT.SetTracer(tr)
 	m.Cluster.RegisterTelemetry(tr)
+	// Sampled on the hub, this count (like the shard-summed GPU
+	// counters) includes shard events up to the end of the current window.
 	tr.RegisterCounter("sim.events_dispatched", func() float64 { return float64(m.Sys.Dispatched()) })
 	tr.RegisterCounter("mem.resident_pages", func() float64 { return float64(m.RT.Allocator().Len()) })
 	tr.RegisterCounter("uvm.pending_faults", func() float64 { return float64(m.RT.PendingFaults()) })

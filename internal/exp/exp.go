@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -116,8 +117,6 @@ func pad(s string, n int) string {
 type Runner struct {
 	Params workload.Params
 	Base   config.Config
-	// Progress, when non-nil, receives one line per fresh simulation.
-	Progress io.Writer
 	// Suite overrides the 11-workload irregular set used by the policy
 	// figures; benchmarks scope it down to bound cost. Nil means the full
 	// paper suite.
@@ -130,6 +129,11 @@ type Runner struct {
 	Pool *harness.Pool
 	// Ctx cancels harness sweeps; nil means context.Background().
 	Ctx context.Context
+	// TraceDir, when non-empty, makes every simulation the pool runs
+	// fresh write its execution trace (Chrome trace-event JSON) into this
+	// existing directory, named from the job ID (traceFileName). Cache
+	// hits and inline runs write none.
+	TraceDir string
 	// Live disables the compiled flat-trace replay path: workloads are
 	// then simulated from freshly generated streams, as before the
 	// compile step existed. Results are byte-identical either way (the
@@ -246,29 +250,24 @@ func (r *Runner) Workload(name string) (*trace.Workload, error) {
 
 // job turns one grid point into its harness job, the single place a run's
 // identity is computed: the base config with the point's mutation
-// applied, a hash over the workload parameters and that complete config
-// (seed field zeroed, since the seed is derived *from* the hash), the
-// derived per-job seed stamped into the config, and the progress label.
-// Run, RunBatch and Jobs all build jobs here, so an inline run, a pooled
-// run and a job from Jobs run through a bare pool share one cache key,
-// and worker count never influences results.
+// applied, a hash over the workload parameters and that complete config,
+// and the progress label. Run, RunBatch and Jobs all build jobs here, so
+// an inline run, a pooled run and a job from Jobs run through a bare
+// pool share one cache key, and worker count never influences results.
 func (r *Runner) job(sp RunSpec) (harness.Job, error) {
 	cfg := r.Base
 	if sp.Mutate != nil {
 		sp.Mutate(&cfg)
 	}
-	cfg.Seed = 0
 	hash, err := harness.HashParts(resultsVersion, r.Params, cfg)
 	if err != nil {
 		return harness.Job{}, err
 	}
-	cfg.Seed = harness.DeriveSeed(r.Params.Seed, sp.Name, hash)
 	return harness.Job{
 		ID:       runLabel(sp.Name, cfg),
 		Workload: sp.Name,
 		Config:   cfg,
 		Hash:     hash,
-		Seed:     cfg.Seed,
 	}, nil
 }
 
@@ -297,9 +296,6 @@ func (r *Runner) Run(name string, mutate func(*config.Config)) (*metrics.Stats, 
 	if !fresh {
 		<-e.ready
 		return e.stats, e.err
-	}
-	if r.Progress != nil {
-		fmt.Fprintf(r.Progress, "running %s ...\n", j.ID)
 	}
 	e.stats, e.err = r.simulate(j)
 	close(e.ready)
@@ -386,14 +382,12 @@ func (r *Runner) RunBatch(specs []RunSpec) error {
 	return err
 }
 
-// simExecutor is the harness executor for simulation jobs. When the pool
-// runs with a trace directory, the job's context carries a destination
-// path and the run is traced; tracing alters no simulated timing, so
-// traced and untraced runs produce identical stats and share cache
-// entries.
-func (r *Runner) simExecutor(ctx context.Context, j harness.Job) (*metrics.Stats, error) {
-	path := harness.TracePath(ctx)
-	if path == "" {
+// simExecutor is the harness executor for simulation jobs. With TraceDir
+// set, the run is traced into a file named from the job ID; tracing
+// alters no simulated timing, so traced and untraced runs produce
+// identical stats and share cache entries.
+func (r *Runner) simExecutor(_ context.Context, j harness.Job) (*metrics.Stats, error) {
+	if r.TraceDir == "" {
 		return r.simulate(j)
 	}
 	w, err := r.Workload(j.Workload)
@@ -404,7 +398,7 @@ func (r *Runner) simExecutor(ctx context.Context, j harness.Job) (*metrics.Stats
 	if err != nil {
 		return stats, fmt.Errorf("exp: %s|%s: %w", j.Workload, j.Hash, err)
 	}
-	if err := writeTraceFile(tr, path); err != nil {
+	if err := writeTraceFile(tr, filepath.Join(r.TraceDir, traceFileName(j.ID))); err != nil {
 		return nil, fmt.Errorf("exp: %s|%s: %w", j.Workload, j.Hash, err)
 	}
 	return stats, nil
@@ -422,6 +416,22 @@ func writeTraceFile(tr *telemetry.Tracer, path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// traceFileName derives a filesystem-safe trace file name from a job ID
+// (IDs carry spaces and policy names like "TO+UE").
+func traceFileName(id string) string {
+	var b strings.Builder
+	for _, r := range id {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '.', r == '_':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String() + ".trace.json"
 }
 
 // outcomeOf converts a harness result (fresh or cache-resumed) into the
@@ -517,12 +527,11 @@ func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 // pct formats a fraction as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
-// Experiments lists every driver by ID.
+// Experiments lists every driver by ID, sorted.
 func Experiments() []string {
-	ids := []string{
-		"table1", "fig01", "fig03", "fig05", "fig08", "fig11", "fig12",
-		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"ext-runahead",
+	ids := make([]string, 0, len(experiments))
+	for id := range experiments {
+		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids
@@ -531,48 +540,24 @@ func Experiments() []string {
 // Drive runs the driver with the given ID. When the runner has a harness
 // pool, the driver's (workload x config) grid is first submitted through
 // it (see grid.go), fanning the independent simulations out over the
-// worker pool; the assembly loop below then reads back memoized results.
+// worker pool; the driver's table function then reads back memoized
+// results.
 func Drive(id string, r *Runner) (*Table, error) {
+	e, ok := experiments[id]
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, Experiments())
+	}
 	if r.Pool != nil {
 		var err error
-		if grid, ok := presetGrids[id]; ok {
-			err = r.RunBatch(grid(r))
-		} else if warm := warmers[id]; warm != nil {
-			err = warm(r)
+		switch {
+		case e.grid != nil:
+			err = r.RunBatch(e.grid(r))
+		case e.warm != nil:
+			err = e.warm(r)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-	switch id {
-	case "table1":
-		return Table1(r)
-	case "fig01":
-		return Fig01(r)
-	case "fig03":
-		return Fig03(r)
-	case "fig05":
-		return Fig05(r)
-	case "fig08":
-		return Fig08(r)
-	case "fig11":
-		return Fig11(r)
-	case "fig12":
-		return Fig12(r)
-	case "fig13":
-		return Fig13(r)
-	case "fig14":
-		return Fig14(r)
-	case "fig15":
-		return Fig15(r)
-	case "fig16":
-		return Fig16(r)
-	case "fig17":
-		return Fig17(r)
-	case "fig18":
-		return Fig18(r)
-	case "ext-runahead":
-		return ExtRunahead(r)
-	}
-	return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, Experiments())
+	return e.table(r)
 }

@@ -4,26 +4,47 @@ import (
 	"uvmsim/internal/config"
 )
 
-// This file declares, for every driver, the (workload x config) grid it
-// needs, as harness submissions. Drive warms the grid through the
-// runner's pool before the driver assembles its table from the memoized
-// results, so the independent simulations run in parallel while the
-// table code stays the straight-line, order-preserving loop the serial
-// path uses. table1, with neither a preset grid (submit.go) nor a
-// warmer, runs no simulations.
+// This file declares every driver in one table: the function that
+// assembles its table and the (workload x config) grid it needs, as
+// harness submissions. Drive warms the grid through the runner's pool
+// before the driver assembles its table from the memoized results, so
+// the independent simulations run in parallel while the table code stays
+// the straight-line, order-preserving loop the serial path uses.
 //
-// The gridFigXX enumerations are also exposed as presets (submit.go):
+// The single-wave grids are also exposed as presets (submit.go):
 // PresetSpecs returns the identical spec list a CLI figure warms. Grids
 // must enumerate exactly the runs their driver performs: a missing point
 // silently degrades to an inline serial run during assembly
 // (TestWarmersCoverDrivers guards this).
 
-// warmers holds the drivers whose grid is not a single-wave preset:
-// fig01 (trace builds only) and fig17 (staged: wave two's cycle caps
-// derive from wave one's results). Every other driver warms its preset.
-var warmers = map[string]func(*Runner) error{
-	"fig01": warmFig01,
-	"fig17": warmFig17,
+// experiment is one driver. At most one of grid and warm is set; table1
+// sets neither, since it runs no simulations.
+type experiment struct {
+	table func(*Runner) (*Table, error)
+	// grid is the driver's single-wave grid, submittable as a preset.
+	grid func(*Runner) []RunSpec
+	// warm is a warm-up that is not one self-contained submission: fig01
+	// builds traces only, and fig17 is staged (wave two's cycle caps
+	// derive from wave one's results).
+	warm func(*Runner) error
+}
+
+// experiments holds every driver by ID.
+var experiments = map[string]experiment{
+	"table1":       {table: Table1},
+	"fig01":        {table: Fig01, warm: warmFig01},
+	"fig03":        {table: Fig03, grid: gridFig03},
+	"fig05":        {table: Fig05, grid: gridFig05},
+	"fig08":        {table: Fig08, grid: gridFig08},
+	"fig11":        {table: Fig11, grid: gridFig11},
+	"fig12":        {table: Fig12, grid: gridFig12},
+	"fig13":        {table: Fig13, grid: gridFig12}, // figs 12/13/15 share one grid
+	"fig14":        {table: Fig14, grid: gridFig14},
+	"fig15":        {table: Fig15, grid: gridFig12},
+	"fig16":        {table: Fig16, grid: gridFig16},
+	"fig17":        {table: Fig17, warm: warmFig17},
+	"fig18":        {table: Fig18, grid: gridFig18},
+	"ext-runahead": {table: ExtRunahead, grid: gridExtRunahead},
 }
 
 // policySpec returns a spec running name under the given policy.

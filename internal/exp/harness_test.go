@@ -2,10 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"uvmsim/internal/config"
 	"uvmsim/internal/harness"
+	"uvmsim/internal/telemetry"
 	"uvmsim/internal/workload"
 )
 
@@ -226,5 +229,74 @@ func TestCompiledMatchesLive(t *testing.T) {
 	live := render(t, liveRunner, ids...)
 	if !bytes.Equal(compiled, live) {
 		t.Fatalf("compiled-trace output differs from live-stream output:\n--- compiled ---\n%s\n--- live ---\n%s", compiled, live)
+	}
+}
+
+// TestTraceDirTracesFreshJobs: with TraceDir set, every job the pool runs
+// fresh writes one execution trace, named from its ID, that passes
+// telemetry.Check; a rerun served from the result cache writes none.
+func TestTraceDirTracesFreshJobs(t *testing.T) {
+	cache, err := harness.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sweep runs fig16's grid through a fresh pool on the shared cache,
+	// tracing into dir.
+	sweep := func(dir string) (harness.Totals, []harness.Job) {
+		t.Helper()
+		pool := harness.New(harness.Options{Jobs: 2, Cache: cache})
+		r := tinyRunner(pool)
+		r.TraceDir = dir
+		specs := mustSpecs(t, r, "fig16")
+		jobs, err := r.Jobs(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RunBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+		return pool.Reporter().Totals(), jobs
+	}
+	traces := func(dir string) int {
+		t.Helper()
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+
+	dir := t.TempDir()
+	tot, jobs := sweep(dir)
+	if tot.Done != len(jobs) || tot.Failed != 0 {
+		t.Fatalf("first sweep totals %+v, want %d fresh runs", tot, len(jobs))
+	}
+	if n := traces(dir); n != len(jobs) {
+		t.Fatalf("%d trace files for %d fresh jobs", n, len(jobs))
+	}
+	for _, j := range jobs {
+		buf, err := os.ReadFile(filepath.Join(dir, traceFileName(j.ID)))
+		if err != nil {
+			t.Fatalf("job %s: %v", j.ID, err)
+		}
+		if _, err := telemetry.Check(buf); err != nil {
+			t.Fatalf("job %s: %v", j.ID, err)
+		}
+	}
+
+	dir = t.TempDir()
+	if tot, _ := sweep(dir); tot.Cached != len(jobs) {
+		t.Fatalf("rerun totals %+v, want all %d jobs cached", tot, len(jobs))
+	}
+	if n := traces(dir); n != 0 {
+		t.Fatalf("cache hits wrote %d trace files", n)
+	}
+}
+
+func TestTraceFileNameSanitizesJobIDs(t *testing.T) {
+	got := traceFileName("fig11/BFS-TTC/TO+UE r0.50")
+	want := "fig11_BFS-TTC_TO_UE_r0.50.trace.json"
+	if got != want {
+		t.Fatalf("traceFileName = %q, want %q", got, want)
 	}
 }

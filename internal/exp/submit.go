@@ -14,8 +14,8 @@ import (
 // RunBatch, exposed as jobs so a caller with its own pool loop
 // (perfbench) can run an identical grid. Everything here builds jobs
 // through Runner.job, so a job from Jobs, one run by the CLI, and one
-// warmed by a driver compute the same hash, derived seed, and cache key,
-// and therefore share result-store entries byte for byte.
+// warmed by a driver compute the same hash and cache key, and therefore
+// share result-store entries byte for byte.
 
 // ScaleParams returns the workload generation parameters for a named
 // scale preset — the presets cmd/experiments exposes as -scale.
@@ -56,50 +56,37 @@ func DefaultBase() config.Config {
 	return base
 }
 
-// presetGrids enumerates, for every single-wave driver, the grid it
-// warms. fig01 (host-side trace analysis, no simulations), fig17 (a
-// staged grid whose second wave derives cycle caps from the first), and
-// table1 (no simulations) are deliberately absent: they cannot be
-// expressed as one self-contained submission.
-var presetGrids = map[string]func(*Runner) []RunSpec{
-	"fig03":        gridFig03,
-	"fig05":        gridFig05,
-	"fig08":        gridFig08,
-	"fig11":        gridFig11,
-	"fig12":        gridFig12,
-	"fig13":        gridFig12, // figs 12/13/15 share one grid
-	"fig14":        gridFig14,
-	"fig15":        gridFig12,
-	"fig16":        gridFig16,
-	"fig18":        gridFig18,
-	"ext-runahead": gridExtRunahead,
-}
-
-// Presets lists the figure grids submittable as a unit, sorted.
+// Presets lists the figure grids submittable as a unit, sorted: every
+// driver with a single-wave grid. fig01 (host-side trace analysis, no
+// simulations), fig17 (a staged grid whose second wave derives cycle caps
+// from the first), and table1 (no simulations) are absent: they cannot
+// be expressed as one self-contained submission.
 func Presets() []string {
-	ids := make([]string, 0, len(presetGrids))
-	for id := range presetGrids {
-		ids = append(ids, id)
+	var ids []string
+	for id, e := range experiments {
+		if e.grid != nil {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	return ids
 }
 
 // PresetSpecs returns the (workload x config) grid the named figure
-// driver runs — exactly the specs its warmer submits, honoring the
-// runner's Suite/Ratios overrides.
+// driver runs — exactly the specs Drive submits, honoring the runner's
+// Suite/Ratios overrides.
 func PresetSpecs(id string, r *Runner) ([]RunSpec, error) {
-	grid, ok := presetGrids[id]
-	if !ok {
+	grid := experiments[id].grid
+	if grid == nil {
 		return nil, fmt.Errorf("exp: no submittable preset %q (have %v)", id, Presets())
 	}
 	return grid(r), nil
 }
 
 // Jobs converts a grid of specs into harness jobs carrying exactly the
-// identity (config hash, derived seed, display label) Run and RunBatch
-// use, so a job executed through any frontend lands on the same cache
-// entry. Duplicate points within specs collapse onto one job.
+// identity (config hash, display label) Run and RunBatch use, so a job
+// executed through any frontend lands on the same cache entry. Duplicate
+// points within specs collapse onto one job.
 func (r *Runner) Jobs(specs []RunSpec) ([]harness.Job, error) {
 	seen := make(map[string]bool, len(specs))
 	jobs := make([]harness.Job, 0, len(specs))

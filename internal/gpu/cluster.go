@@ -119,7 +119,6 @@ type Cluster struct {
 	sink    FaultSink
 
 	// tr is the execution tracer; nil disables tracing (nil-check no-ops).
-	// A non-nil tracer requires sequential (inline) system execution.
 	tr *telemetry.Tracer
 
 	hop uint64 // request-leg hop latency shard->hub
@@ -251,9 +250,12 @@ func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageT
 
 // RegisterTelemetry attaches a tracer: context-switch spans are emitted
 // from then on, and the translation/cache counters join the tracer's
-// sampled registry. No-op with a nil tracer. Tracing requires sequential
-// system execution (the tracer is not concurrency-safe and counter
-// sampling reads across domains).
+// sampled registry. No-op with a nil tracer. The hub, the last domain
+// in each window, takes every sample, so the shard-summed counters
+// (gpu.tlb_l1_*, gpu.cache_l1_*, gpu.context_switches) include shard
+// events up to the end of the current window (DESIGN.md §14): their
+// sampled values depend on where the windows fall; the statistics do
+// not.
 func (c *Cluster) RegisterTelemetry(tr *telemetry.Tracer) {
 	c.tr = tr
 	shardSum := func(f func(*metrics.Stats) uint64) func() float64 {

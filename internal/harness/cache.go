@@ -10,9 +10,9 @@ import (
 )
 
 // Cache is an on-disk JSON result store keyed by Job.Key() — one file per
-// (workload, config-hash, seed) triple. It is what makes sweeps
-// resumable: a rerun of an interrupted sweep finds the finished jobs on
-// disk and skips recomputing them.
+// (workload, config-hash) pair. It is what makes sweeps resumable: a
+// rerun of an interrupted sweep finds the finished jobs on disk and skips
+// recomputing them.
 //
 // Writes are atomic (temp file + rename), so a sweep killed mid-write
 // never leaves a truncated entry; a rerun either sees the complete result

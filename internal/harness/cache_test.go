@@ -13,12 +13,12 @@ func TestCacheMissThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "BFS-TTC|abc123|42"
+	key := "BFS-TTC|abc123"
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
 	res := &Result{
-		ID: "x", Workload: "BFS-TTC", Hash: "abc123", Seed: 42,
+		ID: "x", Workload: "BFS-TTC", Hash: "abc123",
 		Stats:  &metrics.Stats{Cycles: 777},
 		WallNS: 1234,
 	}
@@ -39,8 +39,8 @@ func TestCacheRejectsCorruptEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "PR|def|7"
-	if err := c.Put(key, &Result{Workload: "PR", Hash: "def", Seed: 7}); err != nil {
+	key := "PR|def"
+	if err := c.Put(key, &Result{Workload: "PR", Hash: "def"}); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate the entry, simulating a partial write by a crashed sweep
@@ -61,11 +61,11 @@ func TestCacheRejectsKeyMismatch(t *testing.T) {
 	}
 	// An entry written under one key must not satisfy another even if
 	// the file paths were ever to collide.
-	if err := c.Put("A|h|1", &Result{Workload: "A", Hash: "h", Seed: 1}); err != nil {
+	if err := c.Put("A|h", &Result{Workload: "A", Hash: "h"}); err != nil {
 		t.Fatal(err)
 	}
-	stolen := c.path("B|h|2")
-	orig := c.path("A|h|1")
+	stolen := c.path("B|h")
+	orig := c.path("A|h")
 	data, err := os.ReadFile(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestCacheRejectsKeyMismatch(t *testing.T) {
 	if err := os.WriteFile(stolen, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("B|h|2"); ok {
+	if _, ok := c.Get("B|h"); ok {
 		t.Fatal("foreign entry served as a hit")
 	}
 }

@@ -1,22 +1,19 @@
 // Package harness orchestrates sweeps of independent simulation runs: it
-// fans jobs out over a bounded worker pool, derives a deterministic seed
-// per job, captures panics as job failures, enforces per-job timeouts
-// and context cancellation, caches results on disk so interrupted sweeps
-// resume instead of recomputing, and reports progress and telemetry.
+// fans jobs out over a bounded worker pool, captures panics as job
+// failures, enforces per-job timeouts and context cancellation, caches
+// results on disk so interrupted sweeps resume instead of recomputing,
+// and reports progress and telemetry.
 //
 // The harness is deliberately ignorant of what a job computes: an
 // Executor maps a Job to metrics. Sweep drivers (internal/exp) build the
 // (workload x config) grids and submit them here; nothing about worker
 // count or scheduling order can influence a job's result, because every
-// job's inputs — including its seed — are a pure function of its
-// identity.
+// job's inputs are a pure function of its identity.
 package harness
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -47,21 +44,16 @@ type Options struct {
 	Cache *Cache
 	// Reporter receives progress; nil installs a silent one.
 	Reporter *Reporter
-	// TraceDir, when non-empty, asks executors to write one execution
-	// trace per freshly-run job into this directory (see TracePath). The
-	// directory must exist; cache hits produce no trace.
-	TraceDir string
 }
 
 // Pool runs job batches over a fixed-width worker pool. A Pool may be
 // reused across many Run calls (a sweep per figure, say); its reporter
 // accumulates totals across all of them.
 type Pool struct {
-	workers  int
-	timeout  time.Duration
-	cache    *Cache
-	rep      *Reporter
-	traceDir string
+	workers int
+	timeout time.Duration
+	cache   *Cache
+	rep     *Reporter
 }
 
 // New builds a pool from opts.
@@ -76,11 +68,10 @@ func New(opts Options) *Pool {
 	}
 	rep.setWorkers(workers)
 	return &Pool{
-		workers:  workers,
-		timeout:  opts.Timeout,
-		cache:    opts.Cache,
-		rep:      rep,
-		traceDir: opts.TraceDir,
+		workers: workers,
+		timeout: opts.Timeout,
+		cache:   opts.Cache,
+		rep:     rep,
 	}
 }
 
@@ -127,7 +118,7 @@ feed:
 			if results[i].ID == "" {
 				j := jobs[i]
 				results[i] = Result{
-					ID: j.ID, Workload: j.Workload, Hash: j.Hash, Seed: j.Seed,
+					ID: j.ID, Workload: j.Workload, Hash: j.Hash,
 					Err: fmt.Sprintf("harness: job %s: %v", j.ID, err),
 				}
 			}
@@ -146,22 +137,12 @@ func (p *Pool) runJob(ctx context.Context, j Job, exec Executor) Result {
 			return *res
 		}
 	}
-	res := Result{ID: j.ID, Workload: j.Workload, Hash: j.Hash, Seed: j.Seed}
-	tracePath := ""
-	if p.traceDir != "" {
-		tracePath = filepath.Join(p.traceDir, traceFileName(j.ID))
-		ctx = withTracePath(ctx, tracePath)
-	}
+	res := Result{ID: j.ID, Workload: j.Workload, Hash: j.Hash}
 	start := time.Now()
 	stats, err := p.execute(ctx, j, exec)
 	res.WallNS = time.Since(start).Nanoseconds()
 	res.Stats = stats
 	res.PeakBatchPages = peakBatchPages(stats)
-	if tracePath != "" {
-		if _, serr := os.Stat(tracePath); serr == nil {
-			res.TraceFile = tracePath
-		}
-	}
 	if err != nil {
 		res.Err = err.Error()
 	}

@@ -26,15 +26,16 @@ func fakeJob(i int) Job {
 		Workload: fmt.Sprintf("wl-%d", i%3),
 		Config:   cfg,
 		Hash:     hash,
-		Seed:     DeriveSeed(42, fmt.Sprintf("wl-%d", i%3), hash),
 	}
 }
 
-// statsFor fabricates deterministic stats for a job.
+// statsFor fabricates deterministic stats for a job, distinct for each
+// fakeJob index.
 func statsFor(j Job) *metrics.Stats {
+	n := uint64(j.Config.UVM.FaultHandlingUS)
 	return &metrics.Stats{
-		Cycles:  j.Seed % 1_000_000,
-		Batches: []metrics.Batch{{Start: 0, FirstMigration: 1, End: 2, Pages: int(j.Seed % 97)}},
+		Cycles:  1000 + n,
+		Batches: []metrics.Batch{{Start: 0, FirstMigration: 1, End: 2, Pages: 1 + int(n%97)}},
 	}
 }
 
@@ -60,7 +61,7 @@ func TestPoolRunsAllJobsInOrder(t *testing.T) {
 		if res.Err != "" || res.Stats == nil {
 			t.Fatalf("job %d failed: %+v", i, res)
 		}
-		if res.Stats.Cycles != jobs[i].Seed%1_000_000 {
+		if res.Stats.Cycles != statsFor(jobs[i]).Cycles {
 			t.Fatalf("job %d got foreign stats", i)
 		}
 	}
@@ -273,29 +274,6 @@ func TestPoolNoCacheJobsSkipCache(t *testing.T) {
 	}
 	if cache.Len() != 0 {
 		t.Fatal("NoCache job left a cache entry")
-	}
-}
-
-func TestDeriveSeedStableAndDistinct(t *testing.T) {
-	a := DeriveSeed(42, "BFS-TTC", "hash1")
-	if b := DeriveSeed(42, "BFS-TTC", "hash1"); b != a {
-		t.Fatal("derivation not deterministic")
-	}
-	distinct := map[uint64]string{a: "base"}
-	cases := []struct {
-		name string
-		seed uint64
-	}{
-		{"other base", DeriveSeed(43, "BFS-TTC", "hash1")},
-		{"other workload", DeriveSeed(42, "PR", "hash1")},
-		{"other hash", DeriveSeed(42, "BFS-TTC", "hash2")},
-		{"shifted parts", DeriveSeed(42, "BFS-TTCh", "ash1")},
-	}
-	for _, c := range cases {
-		if prev, dup := distinct[c.seed]; dup {
-			t.Fatalf("%s collides with %s", c.name, prev)
-		}
-		distinct[c.seed] = c.name
 	}
 }
 

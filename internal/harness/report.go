@@ -28,17 +28,11 @@ type Reporter struct {
 	// W receives one line per job completion; nil silences narration
 	// (counters still accumulate).
 	W io.Writer
-	// Events, when non-nil, receives one JSON line per job completion —
-	// the machine-readable twin of W (see Event). Lines are written
-	// atomically under an internal lock, so Events may be a shared file.
-	Events io.Writer
 
 	mu      sync.Mutex
 	start   time.Time
 	workers int
 	t       Totals
-
-	emitMu sync.Mutex // serializes Events writes
 }
 
 // NewReporter returns a reporter narrating to w (which may be nil).
@@ -84,13 +78,6 @@ func (rp *Reporter) done(res *Result) {
 	w := rp.W
 	rp.mu.Unlock()
 
-	if rp.Events != nil {
-		if line, err := jobEvent(res, t.Completed(), t.Submitted).AppendJSONLine(nil); err == nil {
-			rp.emitMu.Lock()
-			rp.Events.Write(line)
-			rp.emitMu.Unlock()
-		}
-	}
 	if w == nil {
 		return
 	}

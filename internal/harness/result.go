@@ -18,7 +18,6 @@ type Result struct {
 	ID       string `json:"id"`
 	Workload string `json:"workload"`
 	Hash     string `json:"hash"`
-	Seed     uint64 `json:"seed"`
 
 	Stats *metrics.Stats `json:"stats,omitempty"`
 	Err   string         `json:"err,omitempty"`
@@ -27,15 +26,11 @@ type Result struct {
 	WallNS         int64 `json:"wall_ns"`          // executor wall time
 	Cached         bool  `json:"cached,omitempty"` // served from the cache
 	PeakBatchPages int   `json:"peak_batch_pages,omitempty"`
-	// TraceFile is the execution trace written for this job when the pool
-	// ran with Options.TraceDir (empty for cache hits and untraced runs).
-	// Not part of the cached result: traces are per-execution artifacts.
-	TraceFile string `json:"-"`
 }
 
 // Key returns the result's cache identity (mirrors Job.Key).
 func (r *Result) Key() string {
-	return Job{Workload: r.Workload, Hash: r.Hash, Seed: r.Seed}.Key()
+	return Job{Workload: r.Workload, Hash: r.Hash}.Key()
 }
 
 // Wall returns the executor wall time as a duration.

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// TestStatsJSONRoundTrip: plain encoding/json must restore every field
+// the result cache stores, including the accumulators behind the
+// derived means.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	s := &Stats{
 		Batches: []Batch{
@@ -43,13 +46,11 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, &got) {
 		t.Fatalf("round trip changed stats:\n in: %+v\nout: %+v", s, &got)
 	}
-	// The unexported lifetime accumulators must survive in particular —
-	// they are invisible to reflection-based encoding.
+	// The lifetime and TO-degree accumulators feed the derived means.
 	mean, ok := got.MeanLifetime()
 	if !ok || mean != 500 {
 		t.Fatalf("lifetime lost in round trip: mean=%v ok=%v", mean, ok)
 	}
-	// Same for the TO-degree accumulators.
 	toMean, ok := got.TOMeanDegree()
 	if !ok || toMean != 3 {
 		t.Fatalf("TO degree lost in round trip: mean=%v ok=%v", toMean, ok)

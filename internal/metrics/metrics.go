@@ -44,16 +44,17 @@ type Stats struct {
 	// Thread oversubscription
 	ContextSwitches     uint64
 	ContextSwitchCycles uint64
-	TOFinalDegree       int // controller degree when the run stopped
-	toDegreeSum         uint64
-	toDegreeCount       uint64
+	TOFinalDegree       int    // controller degree when the run stopped
+	TODegreeSum         uint64 // summed controller-window degrees (TOMeanDegree)
+	TODegreeCount       uint64 // controller windows sampled
 
 	// RunaheadFaults counts speculative faults raised by runahead.
 	RunaheadFaults uint64
 
-	// Lifetime tracking (cycles between allocation and eviction)
-	lifetimeSum   uint64
-	lifetimeCount uint64
+	// Lifetime tracking (cycles between allocation and eviction; read
+	// through MeanLifetime)
+	LifetimeSum   uint64
+	LifetimeCount uint64
 
 	// Execution
 	Cycles     uint64 // end-to-end kernel execution time
@@ -73,33 +74,33 @@ func (s *Stats) RecordBatch(b Batch) { s.Batches = append(s.Batches, b) }
 
 // RecordLifetime accumulates one page's residency lifetime.
 func (s *Stats) RecordLifetime(cycles uint64) {
-	s.lifetimeSum += cycles
-	s.lifetimeCount++
+	s.LifetimeSum += cycles
+	s.LifetimeCount++
 }
 
 // MeanLifetime returns the average page lifetime, or 0 with ok=false when
 // no page has been evicted yet.
 func (s *Stats) MeanLifetime() (mean float64, ok bool) {
-	if s.lifetimeCount == 0 {
+	if s.LifetimeCount == 0 {
 		return 0, false
 	}
-	return float64(s.lifetimeSum) / float64(s.lifetimeCount), true
+	return float64(s.LifetimeSum) / float64(s.LifetimeCount), true
 }
 
 // RecordTODegree accumulates one controller-window sample of the
 // thread-oversubscription degree.
 func (s *Stats) RecordTODegree(degree int) {
-	s.toDegreeSum += uint64(degree)
-	s.toDegreeCount++
+	s.TODegreeSum += uint64(degree)
+	s.TODegreeCount++
 }
 
 // TOMeanDegree returns the mean oversubscription degree across controller
 // windows, or 0 with ok=false when the controller never ticked.
 func (s *Stats) TOMeanDegree() (mean float64, ok bool) {
-	if s.toDegreeCount == 0 {
+	if s.TODegreeCount == 0 {
 		return 0, false
 	}
-	return float64(s.toDegreeSum) / float64(s.toDegreeCount), true
+	return float64(s.TODegreeSum) / float64(s.TODegreeCount), true
 }
 
 // NumBatches returns the number of completed batches.
