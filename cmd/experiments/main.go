@@ -62,6 +62,7 @@ type benchRecord struct {
 	SpeedupVsSerial  float64  `json:"speedup_vs_serial"`
 	JobsTotal        int      `json:"jobs_total"`
 	JobsRun          int      `json:"jobs_run"`
+	JobsCapped       int      `json:"jobs_capped"`
 	JobsFailed       int      `json:"jobs_failed"`
 	CacheHits        int      `json:"cache_hits"`
 	PeakBatchPages   int      `json:"peak_batch_pages"`
@@ -292,6 +293,7 @@ func writeBench(path, scale string, ids []string, pool *harness.Pool, wall time.
 		SimulatedSeconds: t.WallSum.Seconds(),
 		JobsTotal:        t.Submitted,
 		JobsRun:          t.Done,
+		JobsCapped:       t.Capped,
 		JobsFailed:       t.Failed,
 		CacheHits:        t.Cached,
 		PeakBatchPages:   t.PeakBatch,

@@ -11,7 +11,8 @@ import (
 type Totals struct {
 	Submitted int           // jobs handed to the pool so far
 	Done      int           // jobs finished successfully (fresh runs)
-	Failed    int           // jobs that ended in an error
+	Capped    int           // fresh runs stopped with partial stats: lower bounds
+	Failed    int           // jobs that failed outright, with no stats
 	Cached    int           // jobs served from the result cache
 	WallSum   time.Duration // summed executor wall time of fresh runs
 	Elapsed   time.Duration // wall time since the reporter started
@@ -19,7 +20,7 @@ type Totals struct {
 }
 
 // Completed returns the number of jobs with any outcome.
-func (t Totals) Completed() int { return t.Done + t.Failed + t.Cached }
+func (t Totals) Completed() int { return t.Done + t.Capped + t.Failed + t.Cached }
 
 // Reporter accumulates sweep telemetry and, when W is non-nil, narrates
 // per-job progress with an ETA extrapolated from mean job wall time over
@@ -58,12 +59,20 @@ func (rp *Reporter) submitted(n int) {
 
 // done records one finished job and narrates it.
 func (rp *Reporter) done(res *Result) {
+	// A result with an error and stats is a cycle-capped lower bound
+	// (result.go's second shape), not a failure.
+	status := "done"
 	rp.mu.Lock()
 	switch {
 	case res.Cached:
 		rp.t.Cached++
+		status = "cached"
+	case res.Err != "" && res.Stats != nil:
+		rp.t.Capped++
+		status = "capped: " + res.Err
 	case res.Err != "":
 		rp.t.Failed++
+		status = "FAILED: " + res.Err
 	default:
 		rp.t.Done++
 	}
@@ -81,13 +90,6 @@ func (rp *Reporter) done(res *Result) {
 	if w == nil {
 		return
 	}
-	status := "done"
-	switch {
-	case res.Cached:
-		status = "cached"
-	case res.Err != "":
-		status = "FAILED: " + res.Err
-	}
 	fmt.Fprintf(w, "[%d/%d] %-40s %6.1fs  %s%s\n",
 		t.Completed(), t.Submitted, res.ID, res.Wall().Seconds(), status, etaSuffix(t, workers))
 }
@@ -96,7 +98,7 @@ func (rp *Reporter) done(res *Result) {
 // fresh-run wall time spread over the worker pool.
 func etaSuffix(t Totals, workers int) string {
 	remaining := t.Submitted - t.Completed()
-	fresh := t.Done + t.Failed
+	fresh := t.Done + t.Capped + t.Failed
 	if remaining <= 0 || fresh == 0 {
 		return ""
 	}
@@ -117,6 +119,6 @@ func (rp *Reporter) Totals() Totals {
 // Summary renders a one-line sweep summary.
 func (rp *Reporter) Summary() string {
 	t := rp.Totals()
-	return fmt.Sprintf("sweep: %d jobs (%d run, %d cached, %d failed) in %.1fs wall, %.1fs simulated, peak batch %d pages",
-		t.Submitted, t.Done, t.Cached, t.Failed, t.Elapsed.Seconds(), t.WallSum.Seconds(), t.PeakBatch)
+	return fmt.Sprintf("sweep: %d jobs (%d run, %d cached, %d capped, %d failed) in %.1fs wall, %.1fs simulated, peak batch %d pages",
+		t.Submitted, t.Done, t.Cached, t.Capped, t.Failed, t.Elapsed.Seconds(), t.WallSum.Seconds(), t.PeakBatch)
 }

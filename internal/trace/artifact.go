@@ -8,8 +8,12 @@ package trace
 // UVMCMP1 serializes the compiled form: every struct-of-arrays section
 // of every kernel is written as raw native-endian memory, length-prefixed
 // and 8-byte aligned, so loading an artifact is one sequential read plus
-// reslicing. No per-warp or per-lane loop runs on load, and the returned
-// Compiled aliases the file buffer directly (near-zero allocations).
+// reslicing. A section is the kernel's segments' raw bytes back to back;
+// offsets are kernel-global, so none is rewritten on the way out, and a
+// file's bytes do not depend on where capture cut its segments. No
+// per-warp or per-lane loop runs on load, and the returned Compiled
+// aliases the file buffer directly (near-zero allocations), each kernel
+// as a single segment.
 //
 // Layout (all integers native-endian; every section starts 8-aligned):
 //
@@ -123,15 +127,17 @@ func (c *Compiled) ArtifactBytes() int64 {
 	for i := range c.kernels {
 		k := &c.kernels[i]
 		n += int64(len(k.Name)) + 96
-		n += 4*int64(len(k.warpOff)) + 8*int64(len(k.compute)) + int64(len(k.store)) + 4*int64(len(k.laneOff)) + 8*int64(len(k.addrs))
+		// Per access: compute, store and a lane offset; plus the leading
+		// lane offset and the address pool.
+		n += 4*int64(len(k.warpOff)) + 13*int64(k.accesses()) + 4 + 8*int64(k.addrWords())
 	}
 	return n
 }
 
 // WriteCompiledArtifact encodes c as an UVMCMP1 artifact. key is stored
 // verbatim in the header and checked on load; use ArtifactKey to build
-// it. The write streams each section's raw memory (no staging copy of the
-// address pool).
+// it. The write streams each section's raw memory, segment by segment
+// (no staging copy of the address pool).
 func WriteCompiledArtifact(w io.Writer, c *Compiled, key string) error {
 	if c.space == nil {
 		return fmt.Errorf("trace: artifact encode: compiled workload %q has no address space", c.Name)
@@ -162,11 +168,15 @@ func WriteCompiledArtifact(w io.Writer, c *Compiled, key string) error {
 		return err
 	}
 	var pad [8]byte
-	writePadded := func(b []byte) error {
-		if _, err := out.Write(b); err != nil {
-			return err
+	writePadded := func(parts ...[]byte) error {
+		n := 0
+		for _, b := range parts {
+			if _, err := out.Write(b); err != nil {
+				return err
+			}
+			n += len(b)
 		}
-		if rem := len(b) % 8; rem != 0 {
+		if rem := n % 8; rem != 0 {
 			if _, err := out.Write(pad[:8-rem]); err != nil {
 				return err
 			}
@@ -204,21 +214,34 @@ func WriteCompiledArtifact(w io.Writer, c *Compiled, key string) error {
 		}
 		// Section counts are element counts; writeSection length-prefixes
 		// with the *byte* length, so the count prefix is written first.
+		// Each per-access section is the segments' raw bytes back to back.
+		// A segment's lane offsets start where the previous segment's end,
+		// so each writes all but its first, after the kernel's leading 0.
+		var zero [4]byte
+		compute, store := make([][]byte, len(k.segs)), make([][]byte, len(k.segs))
+		laneOff, addrs := [][]byte{zero[:]}, make([][]byte, len(k.segs))
+		for j := range k.segs {
+			s := &k.segs[j]
+			compute[j], store[j] = uint64Bytes(s.compute), boolBytes(s.store)
+			laneOff = append(laneOff, int32Bytes(s.laneOff[1:]))
+			addrs[j] = uint64Bytes(s.addrs)
+		}
+		n := k.accesses()
 		sections := []struct {
 			n   int
-			raw []byte
+			raw [][]byte
 		}{
-			{len(k.warpOff), int32Bytes(k.warpOff)},
-			{len(k.compute), uint64Bytes(k.compute)},
-			{len(k.store), boolBytes(k.store)},
-			{len(k.laneOff), int32Bytes(k.laneOff)},
-			{len(k.addrs), uint64Bytes(k.addrs)},
+			{len(k.warpOff), [][]byte{int32Bytes(k.warpOff)}},
+			{n, compute},
+			{n, store},
+			{n + 1, laneOff},
+			{k.addrWords(), addrs},
 		}
 		for _, s := range sections {
 			if err := writeU64(uint64(s.n)); err != nil {
 				return err
 			}
-			if err := writePadded(s.raw); err != nil {
+			if err := writePadded(s.raw...); err != nil {
 				return err
 			}
 		}
@@ -431,18 +454,21 @@ func (d *artifactReader) kernel(warpSize int) (CompiledKernel, error) {
 			return k, fmt.Errorf("%w: store flag %d at access %d", ErrArtifactCorrupt, b, i)
 		}
 	}
+	// A loaded kernel is one segment over the whole file section.
 	k.warpOff = aliasInt32(warpOffRaw, int(nWarpOff))
-	k.compute = aliasUint64(computeRaw, int(nCompute))
-	k.store = aliasBool(storeRaw, int(nStore))
-	k.laneOff = aliasInt32(laneOffRaw, int(nLaneOff))
-	k.addrs = aliasUint64(addrsRaw, int(nAddrs))
-
+	s := segment{
+		compute: aliasUint64(computeRaw, int(nCompute)),
+		store:   aliasBool(storeRaw, int(nStore)),
+		laneOff: aliasInt32(laneOffRaw, int(nLaneOff)),
+		addrs:   aliasUint64(addrsRaw, int(nAddrs)),
+	}
 	if err := checkOffsets("warp", k.warpOff, int32(nCompute)); err != nil {
 		return k, err
 	}
-	if err := checkOffsets("lane", k.laneOff, int32(nAddrs)); err != nil {
+	if err := checkOffsets("lane", s.laneOff, int32(nAddrs)); err != nil {
 		return k, err
 	}
+	k.segs = []segment{s}
 	return k, nil
 }
 

@@ -1,22 +1,30 @@
 package trace
 
 // Compiled workload representation: every warp of every kernel is
-// emitted, once, through a Builder into shared backing arrays (a
-// struct-of-arrays per kernel plus one address pool), and replay becomes
-// a cursor over those arrays. Building a Compiled pays the full host-side algorithm replay a
-// single time; afterwards any number of simulations — including parallel
-// sweep jobs sharing the same immutable Compiled — create streams with one
-// small allocation (the cursor) and execute Next/PeekAhead with none.
+// emitted, once, through a Builder, and replay becomes a cursor over the
+// result. A kernel is its flat warp offsets plus segments: runs of whole
+// warps, each a struct-of-arrays with its own slice of the address pool,
+// cut at a warp boundary once a segment reaches segmentBytes. Capture
+// therefore writes every kernel into its final storage without growing or
+// copying a kernel-sized array, and a cursor, which replays one warp,
+// finds that warp's segment once and then indexes it directly. Building a
+// Compiled pays the full host-side algorithm replay a single time;
+// afterwards any number of simulations — including parallel sweep jobs
+// sharing the same immutable Compiled — create streams with one small
+// allocation (the cursor) and execute Next/PeekAhead with none.
 //
 // The layout mirrors trace-driven GPU simulators (MacSim's trace files,
 // MGPUSim's instruction streams): capture is separated from replay so the
 // expensive part amortizes across a sweep. Compiled is the in-process
 // tier; its UVMCMP1 artifact (artifact.go) is the on-disk tier and the
 // repository's one trace file format, so a uvmsim trace file and an
-// artifact-store entry hold the same bytes.
+// artifact-store entry hold the same bytes. Every offset is kernel-global,
+// so a kernel's segments laid back to back are exactly the flat arrays a
+// file holds, and a loaded kernel is one segment.
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"uvmsim/internal/layout"
@@ -41,10 +49,11 @@ type Compiled struct {
 	view     *Workload
 }
 
-// CompiledKernel is one kernel's flattened streams. Per-access metadata is
-// struct-of-arrays; lane addresses for all accesses share one pool, so an
-// Access handed out by a cursor aliases pool memory (callers must not
-// mutate or append to Access.Addrs — the simulator only reads them).
+// CompiledKernel is one kernel's flattened streams: its warp offsets
+// plus its segments. Per-access metadata is struct-of-arrays, and lane
+// addresses share one pool per segment, so an Access handed out by a
+// cursor aliases pool memory (callers must not mutate or append to
+// Access.Addrs — the simulator only reads them).
 type CompiledKernel struct {
 	Name            string
 	Blocks          int
@@ -53,23 +62,45 @@ type CompiledKernel struct {
 
 	warpsPerBlock int
 	// warpOff[w] .. warpOff[w+1] bound warp w's accesses (w is the
-	// flattened block*warpsPerBlock+warp index); len = nWarps+1.
+	// flattened block*warpsPerBlock+warp index) in the kernel's access
+	// order; len = nWarps+1.
 	warpOff []int32
-	// Per-access arrays, indexed by the access's global position.
+	// segs hold the accesses of every warp, in warp order; each warp lies
+	// wholly in one segment.
+	segs []segment
+}
+
+// segment holds the accesses of a run of whole warps, from warp warp0 up
+// to the next segment's warp0. Its offsets are kernel-global: laneOff[0]
+// is where its first access's lanes start in the kernel's address pool,
+// and addrs holds the pool from there on.
+type segment struct {
+	warp0 int32
+	// Per-access arrays, indexed by the access's position in the segment.
 	compute []uint64
 	store   []bool
-	// laneOff[i] .. laneOff[i+1] bound access i's lane addresses within
-	// addrs; len = nAccesses+1.
+	// laneOff[i] .. laneOff[i+1] bound access i's lane addresses, less
+	// laneOff[0], within addrs; len = accesses+1.
 	laneOff []int32
-	// addrs is the single shared address pool.
-	addrs []uint64
+	addrs   []uint64
 }
+
+// segmentBytes is the size at which Compile cuts a segment: 13 bytes per
+// access plus 8 per lane address. Capture's scratch, the open segment, is
+// reserved at twice this, so it stays small beside the traces it builds.
+const segmentBytes = 1 << 20
 
 // Compile flattens w by running every kernel's Emit for every (block,
 // warp) at the given warp size, in grid order, into one Builder. Emit
 // must be pure (the usual contract); w itself is not modified and remains
 // usable. A kernel without Emit is an error.
 func Compile(w *Workload, warpSize int) (*Compiled, error) {
+	return compile(w, warpSize, segmentBytes)
+}
+
+// compile is Compile with the segment size as a parameter, so tests can
+// cut kernels into many segments.
+func compile(w *Workload, warpSize, segBytes int) (*Compiled, error) {
 	if warpSize <= 0 {
 		return nil, fmt.Errorf("trace: Compile warp size %d", warpSize)
 	}
@@ -81,6 +112,7 @@ func Compile(w *Workload, warpSize int) (*Compiled, error) {
 		kernels:   make([]CompiledKernel, 0, len(w.Kernels)),
 	}
 	var b Builder
+	b.reserve(segBytes)
 	for _, k := range w.Kernels {
 		if k.Emit == nil {
 			return nil, fmt.Errorf("trace: kernel %q has no Emit to compile", k.Name)
@@ -94,8 +126,12 @@ func Compile(w *Workload, warpSize int) (*Compiled, error) {
 				if b.err != nil {
 					return nil, b.err
 				}
+				if b.openBytes(b.open.warp0) >= segBytes {
+					b.cut(segBytes)
+				}
 			}
 		}
+		b.cut(segBytes)
 		c.kernels = append(c.kernels, b.k)
 	}
 	return c, nil
@@ -107,7 +143,7 @@ const maxInt32 = 1<<31 - 1
 func (c *Compiled) Accesses() int {
 	n := 0
 	for i := range c.kernels {
-		n += len(c.kernels[i].compute)
+		n += c.kernels[i].accesses()
 	}
 	return n
 }
@@ -116,7 +152,19 @@ func (c *Compiled) Accesses() int {
 func (c *Compiled) AddrWords() int {
 	n := 0
 	for i := range c.kernels {
-		n += len(c.kernels[i].addrs)
+		n += c.kernels[i].addrWords()
+	}
+	return n
+}
+
+// accesses returns the kernel's instruction count.
+func (k *CompiledKernel) accesses() int { return int(k.warpOff[len(k.warpOff)-1]) }
+
+// addrWords returns the kernel's lane-address count.
+func (k *CompiledKernel) addrWords() int {
+	n := 0
+	for i := range k.segs {
+		n += len(k.segs[i].addrs)
 	}
 	return n
 }
@@ -156,39 +204,44 @@ func (c *Compiled) Workload() *Workload {
 	return c.view
 }
 
-// Stream returns a fresh cursor over the given warp's accesses. The only
-// allocation replay ever performs is this cursor; Next and PeekAhead are
-// pure index arithmetic over the shared arrays.
+// Stream returns a fresh cursor over the given warp's accesses. It finds
+// the warp's segment; the only allocation replay ever performs is the
+// cursor, and Next and PeekAhead are pure index arithmetic over that
+// segment's arrays.
 func (k *CompiledKernel) Stream(block, warp int) *Cursor {
 	if block < 0 || block >= k.Blocks || warp < 0 || warp >= k.warpsPerBlock {
 		panic(fmt.Sprintf("trace: kernel %q stream (block %d, warp %d) outside compiled grid %dx%d — was the workload compiled at a different warp size?",
 			k.Name, block, warp, k.Blocks, k.warpsPerBlock))
 	}
 	i := block*k.warpsPerBlock + warp
-	return &Cursor{k: k, pos: k.warpOff[i], end: k.warpOff[i+1]}
+	// The warp's segment is the last one that starts at or before it.
+	s := &k.segs[sort.Search(len(k.segs), func(j int) bool { return int(k.segs[j].warp0) > i })-1]
+	base := k.warpOff[s.warp0]
+	return &Cursor{s: s, pos: k.warpOff[i] - base, end: k.warpOff[i+1] - base}
 }
 
 // WarpsPerBlock returns the warp count per block the kernel was compiled
 // at.
 func (k *CompiledKernel) WarpsPerBlock() int { return k.warpsPerBlock }
 
-// Cursor replays one warp's accesses from a CompiledKernel. It implements
-// WarpStream.
+// Cursor replays one warp's accesses from a segment of a CompiledKernel.
+// It implements WarpStream.
 type Cursor struct {
-	k        *CompiledKernel
+	s        *segment
 	pos, end int32
 }
 
-// at materializes the i-th access. The Addrs subslice aliases the kernel's
-// shared pool with a full slice expression, so an accidental append by a
-// caller copies instead of clobbering the next access's lanes.
+// at materializes the i-th access of the segment. The Addrs subslice
+// aliases the segment's pool with a full slice expression, so an
+// accidental append by a caller copies instead of clobbering the next
+// access's lanes.
 func (c *Cursor) at(i int32) Access {
-	k := c.k
-	lo, hi := k.laneOff[i], k.laneOff[i+1]
+	s := c.s
+	lo, hi := s.laneOff[i]-s.laneOff[0], s.laneOff[i+1]-s.laneOff[0]
 	return Access{
-		ComputeCycles: k.compute[i],
-		Addrs:         k.addrs[lo:hi:hi],
-		Store:         k.store[i],
+		ComputeCycles: s.compute[i],
+		Addrs:         s.addrs[lo:hi:hi],
+		Store:         s.store[i],
 	}
 }
 

@@ -56,7 +56,9 @@ type Kernel struct {
 // Stream returns a fresh replay stream for the given warp of the given
 // block: NewWarpStream's stream when it is set, and otherwise a cursor
 // over the warp emitted into a one-warp Builder. It is the one place
-// that chooses between a compiled cursor and live emission.
+// that chooses between a compiled cursor and live emission. The live
+// cursor keeps the Builder's open segment as it is, so it holds the
+// warp's own arrays and no more.
 func (k Kernel) Stream(block, warp int) WarpStream {
 	if k.NewWarpStream != nil {
 		return k.NewWarpStream(block, warp)
@@ -68,8 +70,8 @@ func (k Kernel) Stream(block, warp int) WarpStream {
 	if b.err != nil {
 		panic(b.err)
 	}
-	ck := b.k // the cursor keeps the arrays, not the builder's scratch
-	return ck.Stream(0, 0)
+	s := b.open // the cursor keeps the warp's arrays, not the lane scratch
+	return &Cursor{s: &s, end: int32(len(s.compute))}
 }
 
 // WarpsPerBlock returns the number of warps a block occupies for the given
