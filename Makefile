@@ -18,8 +18,8 @@ test:
 # internal/core rides along for the UVM-runtime regression tests and the
 # simulation digests (parallel subtests), internal/gpu for the shard/hub
 # cluster protocol, and internal/trace and internal/workload for
-# Kernel.Emit's contract that a warp may be emitted from concurrent
-# goroutines (same list CI runs).
+# Kernel.Emit's contract that concurrent compiles of one workload may emit
+# a warp from several goroutines at once (same list CI runs).
 test-race:
 	$(GO) test -race -timeout 20m ./internal/harness ./internal/exp ./internal/sim ./internal/core ./internal/gpu ./internal/trace ./internal/workload
 
@@ -49,7 +49,10 @@ bench:
 
 # Regenerate every table and figure of the paper. -jobs 0 fans the
 # simulation grid out over every CPU; results are identical to a serial
-# run (tens of minutes on one core, minutes on many).
+# run (tens of minutes on one core, minutes on many). The default
+# -build-cache-bytes keeps at most 1 GB of compiled workloads between
+# jobs; it does not bound process RSS, which measured about 4.3 GiB
+# for the full sweep at -jobs 2 (DESIGN.md §15).
 experiments:
 	$(GO) run ./cmd/experiments -scale paper -jobs 0 -out results_paper.txt
 

@@ -84,9 +84,8 @@ func run() int {
 	resume := flag.Bool("resume", false, "reuse cached results from an earlier (possibly interrupted) sweep; implies -cachedir "+defaultCacheDir+" when unset")
 	benchJSON := flag.String("bench-json", "", "write sweep telemetry (wall time, speedup, cache hits) to this JSON file")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON execution trace per freshly-run job into this directory (cache hits are not traced)")
-	compiled := flag.Bool("compiled", true, "replay workloads from compiled flat traces shared across jobs (identical results; -compiled=false regenerates streams live, using less memory)")
 	artifactDir := flag.String("artifact-dir", "auto", "on-disk compiled-trace artifact store, shareable with cmd/uvmsim -artifacts; \"auto\" = <cachedir>/artifacts when a cache is on (else off), \"off\" disables")
-	buildBytes := flag.Int64("build-cache-bytes", 0, "in-memory compiled-workload byte budget (LRU eviction past it); 0 = unbounded")
+	buildBytes := flag.Int64("build-cache-bytes", 1_000_000_000, "bytes of compiled workloads the in-memory build cache keeps between jobs (LRU eviction past it); 0 = unbounded. It does not bound process RSS: workloads running jobs hold stay resident, and Go's heap can grow to about twice the live heap")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
 	flag.Parse()
@@ -164,7 +163,6 @@ func run() int {
 	r.Pool = pool
 	r.Ctx = ctx
 	r.TraceDir = *traceDir
-	r.Live = !*compiled
 	switch *artifactDir {
 	case "auto":
 		*artifactDir = ""

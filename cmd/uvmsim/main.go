@@ -77,26 +77,17 @@ func main() {
 	p.ThreadsPerBlock = *tpb
 	p.ComputeCycles = *compute
 
-	var w *trace.Workload
-	switch {
-	case *traceIn != "":
-		w, err = readTrace(*traceIn, cfg.GPU.WarpSize)
-	case *traceOut != "" || *artifacts != "":
-		var c *trace.Compiled
+	var w *trace.Compiled
+	if *traceIn != "" {
+		w, err = readTrace(*traceIn)
+	} else {
 		var key string
-		if c, key, err = compileWorkload(*artifacts, *name, p, cfg.GPU.WarpSize); err != nil {
-			break
+		if w, key, err = compileWorkload(*artifacts, *name, p, cfg.GPU.WarpSize); err == nil && *traceOut != "" {
+			if err = writeTrace(*traceOut, w, key); err == nil {
+				fmt.Printf("wrote %s (%d kernels, %d pages)\n", *traceOut, len(w.Kernels()), w.FootprintPages())
+				return
+			}
 		}
-		if *traceOut == "" {
-			w = c.Workload()
-			break
-		}
-		if err = writeTrace(*traceOut, c, key); err == nil {
-			fmt.Printf("wrote %s (%d kernels, %d pages)\n", *traceOut, len(c.Kernels()), c.Workload().FootprintPages())
-			return
-		}
-	default:
-		w, err = workload.Build(*name, p)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -196,10 +187,9 @@ func main() {
 }
 
 // readTrace loads a trace file (a UVMCMP1 artifact from -traceout or an
-// artifact store) under any key, so it checks the warp size the key
-// would have pinned: a trace from another warp size would otherwise
-// replay a mispartitioned subset of its warps without error.
-func readTrace(path string, warpSize int) (*trace.Workload, error) {
+// artifact store) under any key. core.NewMachine refuses a trace recorded
+// at another warp size than the simulated GPU's.
+func readTrace(path string) (*trace.Compiled, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -208,10 +198,7 @@ func readTrace(path string, warpSize int) (*trace.Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading trace %s: %w", path, err)
 	}
-	if c.WarpSize != warpSize {
-		return nil, fmt.Errorf("trace %s was recorded at warp size %d; the simulated GPU uses warp size %d", path, c.WarpSize, warpSize)
-	}
-	return c.Workload(), nil
+	return c, nil
 }
 
 // writeTrace writes c to path as the UVMCMP1 artifact stored under key:
@@ -232,7 +219,8 @@ func writeTrace(path string, c *trace.Compiled, key string) error {
 // artifact-store key. With a store directory it goes through the same
 // disk tier as cmd/experiments: an artifact already stored (by it or an
 // earlier run) loads with no generation or compile work, and a fresh
-// build is persisted. Results are byte-identical either way.
+// build is persisted. Without one it builds and compiles. Results are
+// byte-identical either way.
 func compileWorkload(dir, name string, p workload.Params, warpSize int) (*trace.Compiled, string, error) {
 	hash, err := harness.HashParts(p)
 	if err != nil {
@@ -248,11 +236,7 @@ func compileWorkload(dir, name string, p workload.Params, warpSize int) (*trace.
 		builds.SetDisk(store)
 	}
 	v, err := builds.Get(key, func() (any, error) {
-		w, err := workload.Build(name, p)
-		if err != nil {
-			return nil, err
-		}
-		return trace.Compile(w, warpSize)
+		return workload.BuildCompiled(name, p, warpSize)
 	})
 	if err != nil {
 		return nil, "", err

@@ -4,23 +4,21 @@ import (
 	"testing"
 
 	"uvmsim/internal/config"
-	"uvmsim/internal/trace"
 )
 
 // maxCompiledRunAllocs is the allocation-regression budget for one full
 // end-to-end simulation of the test-scale scan workload replayed from a
 // compiled trace (the sweep configuration: build once, simulate many).
-// The measured figure is ~1.8k allocations — machine construction (page
+// The measured figure is ~1.75k allocations — machine construction (page
 // table, TLBs, LRU sets, the per-domain engines, shards and their event
-// pools of the multi-domain system), one warp/cursor set per dispatched
-// block, and first-use warm-up of the event pools; the per-access replay
-// path itself is allocation-free. The cap's headroom covers benign
-// construction drift, while a single per-access or per-fault allocation
-// sneaking back into the hot path adds at least one allocation per
-// memory instruction (~400 here) and fails loudly. Live replay of the
-// same workload, which emits every warp into a fresh one-warp
-// trace.Builder, costs ~3.2k allocations.
-const maxCompiledRunAllocs = 1950
+// pools of the multi-domain system), one warp set per dispatched block,
+// and first-use warm-up of the event pools; each warp holds its cursor
+// by value, and the per-access replay path itself is allocation-free.
+// The cap's headroom covers benign construction drift, while a single
+// per-access or per-fault allocation sneaking back into the hot path adds
+// at least one allocation per memory instruction (~400 here) and fails
+// loudly.
+const maxCompiledRunAllocs = 1886
 
 // TestCompiledRunAllocationBudget is the CI guard for the compiled
 // replay path's allocation behavior. It fails when an end-to-end run
@@ -29,12 +27,7 @@ func TestCompiledRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation in -short mode")
 	}
-	w := scanWorkload(64, 8, 256, 6)
-	c, err := trace.Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := c.Workload()
+	cw := scanWorkload(64, 8, 256, 6)
 	cfg := testConfig(config.TOUE)
 
 	// Warm up once so lazily-initialized process state (sync pools, map

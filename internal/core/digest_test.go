@@ -91,6 +91,9 @@ func summaryDigest(t *testing.T, s *metrics.Stats) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// TestSimulationDigests also holds compiled replay to the generators:
+// its digests were pinned when the simulator still replayed workloads
+// straight from their generators.
 func TestSimulationDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations in -short mode")
@@ -104,7 +107,7 @@ func TestSimulationDigests(t *testing.T) {
 			cfg.MaxCycles = 2_000_000_000
 			cfg.Policy = v.policy
 			cfg.UVM.OversubscriptionRatio = v.ratio
-			w, err := workload.Build(v.name, p)
+			w, err := workload.BuildCompiled(v.name, p, cfg.GPU.WarpSize)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,8 @@ import (
 )
 
 // Machine assembles the full simulated system — GPU cluster, translation
-// hardware, and UVM runtime — and runs a workload's kernels to completion.
+// hardware, and UVM runtime — and replays a compiled workload's kernels to
+// completion.
 type Machine struct {
 	Sys     *sim.System // multi-domain event system (SM shards + hub)
 	Eng     *sim.Engine // hub domain engine: runtime, walker, L2, controllers
@@ -24,7 +25,7 @@ type Machine struct {
 	Cluster *gpu.Cluster
 	RT      *Runtime
 
-	workload  *trace.Workload
+	workload  *trace.Compiled
 	etc       *etcController
 	tr        *telemetry.Tracer
 	finished  bool
@@ -41,14 +42,20 @@ const defaultMaxCycles = 2_000_000_000
 // lower bound instead of failing.
 var ErrCycleLimit = errors.New("cycle limit exceeded")
 
-// NewMachine builds a machine for cfg and workload w. The configuration is
-// copied; callers may reuse theirs.
-func NewMachine(cfg config.Config, w *trace.Workload) (*Machine, error) {
+// NewMachine builds a machine for cfg and the compiled workload w. The
+// configuration is copied; callers may reuse theirs. w must have been
+// compiled at cfg's warp size: under another, its warps would partition
+// the threads differently than the simulated GPU does.
+func NewMachine(cfg config.Config, w *trace.Compiled) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(w.Kernels) == 0 {
+	if len(w.Kernels()) == 0 {
 		return nil, fmt.Errorf("core: workload %q has no kernels", w.Name)
+	}
+	if w.WarpSize != cfg.GPU.WarpSize {
+		return nil, fmt.Errorf("core: workload %q was compiled at warp size %d; the simulated GPU uses warp size %d",
+			w.Name, w.WarpSize, cfg.GPU.WarpSize)
 	}
 	sys := sim.NewSystem(cfg.DomainCount()+1, cfg.Lookahead())
 	m := &Machine{
@@ -73,7 +80,8 @@ func NewMachine(cfg config.Config, w *trace.Workload) (*Machine, error) {
 		}
 	}
 	pageBytes := cfg.UVM.PageBytes
-	inSpace := func(page uint64) bool { return w.Space.Contains(page * pageBytes) }
+	space := w.Space()
+	inSpace := func(page uint64) bool { return space.Contains(page * pageBytes) }
 	m.RT = NewRuntime(m.Eng, &m.Cfg, m.Stats, m.PT, capacity, inSpace)
 	m.Cluster = gpu.New(m.Sys, &m.Cfg, m.Stats, m.PT, m.RT)
 	m.RT.AttachCluster(m.Cluster)
@@ -111,7 +119,7 @@ func (m *Machine) AttachTracer(tr *telemetry.Tracer) {
 // copy-then-launch model with no demand paging).
 func (m *Machine) preloadAll() {
 	pageBytes := m.Cfg.UVM.PageBytes
-	for _, arr := range m.workload.Space.Arrays() {
+	for _, arr := range m.workload.Space().Arrays() {
 		first := arr.Base / pageBytes
 		last := (arr.End() - 1) / pageBytes
 		for p := first; p <= last; p++ {
@@ -171,7 +179,8 @@ func (m *Machine) progress() string {
 }
 
 func (m *Machine) launchNext() {
-	if m.kernelIdx >= len(m.workload.Kernels) {
+	kernels := m.workload.Kernels()
+	if m.kernelIdx >= len(kernels) {
 		m.finished = true
 		m.Stats.Cycles = m.Eng.Now()
 		m.RT.Stop()
@@ -181,7 +190,7 @@ func (m *Machine) launchNext() {
 		m.tr.Sample() // final counter snapshot at run end
 		return
 	}
-	k := &m.workload.Kernels[m.kernelIdx]
+	k := &kernels[m.kernelIdx]
 	m.kernelIdx++
 	if m.tr.Enabled() {
 		name := k.Name
@@ -199,7 +208,7 @@ func (m *Machine) launchNext() {
 }
 
 // Run is the package-level convenience: build a machine and run it.
-func Run(cfg config.Config, w *trace.Workload) (*metrics.Stats, error) {
+func Run(cfg config.Config, w *trace.Compiled) (*metrics.Stats, error) {
 	m, err := NewMachine(cfg, w)
 	if err != nil {
 		return nil, err
@@ -209,7 +218,7 @@ func Run(cfg config.Config, w *trace.Workload) (*metrics.Stats, error) {
 
 // RunTraced builds a machine, attaches a fresh tracer, and runs it,
 // returning the statistics alongside the collected trace.
-func RunTraced(cfg config.Config, w *trace.Workload) (*metrics.Stats, *telemetry.Tracer, error) {
+func RunTraced(cfg config.Config, w *trace.Compiled) (*metrics.Stats, *telemetry.Tracer, error) {
 	m, err := NewMachine(cfg, w)
 	if err != nil {
 		return nil, nil, err

@@ -64,7 +64,7 @@ func TestPrefetchDisabledStillCompletes(t *testing.T) {
 // seqWorkload builds a workload whose warps stream sequentially through
 // the array (page g, g+1, g+2, ...) — the locality pattern the tree
 // prefetcher is built for.
-func seqWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.Workload {
+func seqWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.Compiled {
 	const pageBytes = 64 << 10
 	sp := layout.NewSpace(pageBytes)
 	arr := sp.Alloc("data", 4, pages*(pageBytes/4))
@@ -74,22 +74,19 @@ func seqWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.W
 		Blocks:          blocks,
 		ThreadsPerBlock: threadsPerBlock,
 		RegsPerThread:   32,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			var accs []trace.Access
+		Emit: func(b *trace.Builder, block, warp int) {
 			warpsPerBlock := threadsPerBlock / 32
 			gwarp := block*warpsPerBlock + warp
 			for i := 0; i < accessesPerThread; i++ {
 				page := (gwarp*accessesPerThread + i) % pages
-				var addrs []uint64
 				for lane := 0; lane < 32; lane++ {
-					addrs = append(addrs, arr.Addr(page*intsPerPage+lane))
+					b.Addr(arr.Addr(page*intsPerPage + lane))
 				}
-				accs = append(accs, trace.Access{ComputeCycles: 4, Addrs: addrs})
+				b.EndAccess(4, false)
 			}
-			return trace.NewSliceStream(accs)
 		},
 	}
-	return &trace.Workload{Name: "seq", Space: sp, Kernels: []trace.Kernel{k}, Irregular: false}
+	return compileWorkload(&trace.Workload{Name: "seq", Space: sp, Kernels: []trace.Kernel{k}, Irregular: false})
 }
 
 func TestPrefetchReducesFaultsOnSequentialScan(t *testing.T) {
@@ -290,21 +287,16 @@ func TestDirtyTrackingStillTransfersWrittenPages(t *testing.T) {
 	arr := sp.Alloc("data", 4, 96*(pageBytes/4))
 	k := trace.Kernel{
 		Name: "writer", Blocks: 8, ThreadsPerBlock: 256, RegsPerThread: 32,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			var accs []trace.Access
+		Emit: func(b *trace.Builder, block, warp int) {
 			gwarp := block*8 + warp
 			for i := 0; i < 8; i++ {
 				page := (gwarp + i*17) % 96
-				accs = append(accs, trace.Access{
-					ComputeCycles: 4,
-					Addrs:         []uint64{arr.Addr(page * (pageBytes / 4))},
-					Store:         true,
-				})
+				b.Addr(arr.Addr(page * (pageBytes / 4)))
+				b.EndAccess(4, true)
 			}
-			return trace.NewSliceStream(accs)
 		},
 	}
-	w := &trace.Workload{Name: "writer", Space: sp, Kernels: []trace.Kernel{k}, Irregular: true}
+	w := compileWorkload(&trace.Workload{Name: "writer", Space: sp, Kernels: []trace.Kernel{k}, Irregular: true})
 	cfg := testConfig(config.Baseline)
 	cfg.UVM.TrackDirty = true
 	m, err := NewMachine(cfg, w)
@@ -321,5 +313,32 @@ func TestDirtyTrackingStillTransfersWrittenPages(t *testing.T) {
 	stats := m.Stats
 	if stats.Evictions == 0 {
 		t.Fatal("no evictions")
+	}
+}
+
+// TestNewMachineRejectsOtherWarpSize: a trace compiled at warp size 16
+// must not replay on a warp-32 GPU, which would run each block as twice
+// as many half-width warps.
+func TestNewMachineRejectsOtherWarpSize(t *testing.T) {
+	w := scanWorkload(8, 2, 64, 2)
+	w16, err := trace.Compile(&trace.Workload{Name: "scan16", Space: w.Space(), Kernels: []trace.Kernel{{
+		Name: "k", Blocks: 2, ThreadsPerBlock: 64,
+		Emit: func(b *trace.Builder, block, warp int) {
+			b.Addr(0)
+			b.EndAccess(1, false)
+		},
+	}}}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewMachine(config.Default(), w16)
+	if err == nil {
+		t.Fatal("warp-16 trace accepted by a warp-32 GPU")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "warp size 16") || !strings.Contains(msg, "warp size 32") {
+		t.Fatalf("error %q does not name both warp sizes", msg)
+	}
+	if _, err := NewMachine(config.Default(), w); err != nil {
+		t.Fatalf("warp-32 trace on a warp-32 GPU: %v", err)
 	}
 }

@@ -11,10 +11,20 @@ import (
 	"uvmsim/internal/vm"
 )
 
+// compileWorkload compiles w at the default warp size: the form a Machine
+// replays.
+func compileWorkload(w *trace.Workload) *trace.Compiled {
+	c, err := trace.Compile(w, config.Default().GPU.WarpSize)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // scanWorkload builds a workload whose warps walk the whole array page by
 // page, each memory access touching exactly one page, with pages shared
 // across blocks (irregular-style sharing under oversubscription).
-func scanWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.Workload {
+func scanWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.Compiled {
 	const pageBytes = 64 << 10
 	sp := layout.NewSpace(pageBytes)
 	arr := sp.Alloc("data", 4, pages*(pageBytes/4))
@@ -39,7 +49,7 @@ func scanWorkload(pages, blocks, threadsPerBlock, accessesPerThread int) *trace.
 			}
 		},
 	}
-	return &trace.Workload{Name: "scan", Space: sp, Kernels: []trace.Kernel{k}, Irregular: true}
+	return compileWorkload(&trace.Workload{Name: "scan", Space: sp, Kernels: []trace.Kernel{k}, Irregular: true})
 }
 
 func testConfig(policy config.Policy) config.Config {
@@ -293,7 +303,7 @@ func TestMergeSorted(t *testing.T) {
 func TestWorkloadWithoutKernelsRejected(t *testing.T) {
 	sp := layout.NewSpace(64 << 10)
 	sp.Alloc("x", 4, 10)
-	w := &trace.Workload{Name: "empty", Space: sp}
+	w := compileWorkload(&trace.Workload{Name: "empty", Space: sp})
 	if _, err := NewMachine(config.Default(), w); err == nil {
 		t.Fatal("kernel-less workload accepted")
 	}

@@ -264,8 +264,8 @@ func TestTracedRunNestsMigrationsInBatchSpans(t *testing.T) {
 	if evictions != int(stats.Evictions) {
 		t.Fatalf("eviction spans = %d, stats evictions = %d", evictions, stats.Evictions)
 	}
-	if kernels != len(w.Kernels) {
-		t.Fatalf("kernel spans = %d, want %d", kernels, len(w.Kernels))
+	if kernels != len(w.Kernels()) {
+		t.Fatalf("kernel spans = %d, want %d", kernels, len(w.Kernels()))
 	}
 	// Containment: every migration span lies inside some batch span.
 	for _, ev := range tr.Events() {

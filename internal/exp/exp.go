@@ -134,17 +134,11 @@ type Runner struct {
 	// existing directory, named from the job ID (traceFileName). Cache
 	// hits and inline runs write none.
 	TraceDir string
-	// Live disables the compiled flat-trace replay path: workloads are
-	// then simulated from freshly generated streams, as before the
-	// compile step existed. Results are byte-identical either way (the
-	// determinism suite guards this); live trades replay speed for not
-	// holding the flattened access arrays in memory.
-	Live bool
 	// Builds is the in-process build cache every job of a sweep shares:
-	// one (workload, params, seed) point is built — and, unless Live is
-	// set, compiled — exactly once per process, no matter how many
-	// parallel jobs or figures need it. NewRunner installs a private
-	// cache; replace it to share builds across runners.
+	// one (workload, params, seed) point is built and compiled exactly
+	// once per process while it stays cached, no matter how many parallel
+	// jobs or figures need it. NewRunner installs a private cache;
+	// replace it to share builds across runners.
 	Builds *harness.BuildCache
 
 	mu      sync.Mutex
@@ -165,8 +159,7 @@ type runOutcome struct {
 }
 
 // NewRunner builds a runner over the given workload parameters and base
-// configuration. The compiled replay path is on by default (set Live to
-// opt out).
+// configuration.
 func NewRunner(p workload.Params, base config.Config) *Runner {
 	return &Runner{
 		Params:  p,
@@ -192,12 +185,11 @@ func (r *Runner) suite() []string {
 	return irregularSet
 }
 
-// workloadKey is the build-cache identity of a workload. Compiled builds
-// use trace.ArtifactKey verbatim — codec version, name, the full
-// generation-parameter hash, seed, warp size — so the same key addresses
-// the in-memory entry and its on-disk artifact, and a codec bump or warp
-// change is a structural miss rather than a convention. Live builds
-// (closures, never persisted) get a distinct "live|" namespace.
+// workloadKey is the build-cache identity of a workload: trace.ArtifactKey
+// verbatim — codec version, name, the full generation-parameter hash,
+// seed, warp size — so the same key addresses the in-memory entry and its
+// on-disk artifact, and a codec bump or warp change is a structural miss
+// rather than a convention.
 func (r *Runner) workloadKey(name string) (string, error) {
 	r.hashOnce.Do(func() {
 		r.paramsHash, r.hashErr = harness.HashParts(r.Params)
@@ -205,47 +197,27 @@ func (r *Runner) workloadKey(name string) (string, error) {
 	if r.hashErr != nil {
 		return "", r.hashErr
 	}
-	key := trace.ArtifactKey(name, r.paramsHash, r.Params.Seed, r.Base.GPU.WarpSize)
-	if r.Live {
-		key = "live|" + key
-	}
-	return key, nil
+	return trace.ArtifactKey(name, r.paramsHash, r.Params.Seed, r.Base.GPU.WarpSize), nil
 }
 
-// Workload returns (building and caching) the named workload. Concurrent
-// callers for the same name coalesce onto one build through the shared
-// build cache; unless Live is set, the build is compiled to the flat
-// trace form once and every simulation replays the same immutable arrays.
-func (r *Runner) Workload(name string) (*trace.Workload, error) {
+// Workload returns (building, compiling and caching) the named workload,
+// compiled at the base configuration's warp size. Concurrent callers for
+// the same name coalesce onto one build through the shared build cache,
+// and every simulation replays the same immutable arrays. The generator
+// closures, and the graph behind them, become garbage once the compile
+// returns.
+func (r *Runner) Workload(name string) (*trace.Compiled, error) {
 	key, err := r.workloadKey(name)
 	if err != nil {
 		return nil, err
 	}
 	v, err := r.Builds.Get(key, func() (any, error) {
-		w, err := workload.Build(name, r.Params)
-		if err != nil || r.Live {
-			return w, err
-		}
-		// Cache the *Compiled itself, not a view: that is what the build
-		// cache's disk tier can persist (and size for eviction). The live
-		// closures (and the graph behind them) become garbage once this
-		// returns.
-		return trace.Compile(w, r.Base.GPU.WarpSize)
+		return workload.BuildCompiled(name, r.Params, r.Base.GPU.WarpSize)
 	})
 	if err != nil {
 		return nil, err
 	}
-	switch w := v.(type) {
-	case *trace.Compiled:
-		// The view is memoized inside the *Compiled, so concurrent callers
-		// share one *Workload and an entry the byte budget evicts takes
-		// its view with it.
-		return w.Workload(), nil
-	case *trace.Workload:
-		return w, nil
-	default:
-		return nil, fmt.Errorf("exp: build cache holds %T for %q", v, key)
-	}
+	return v.(*trace.Compiled), nil
 }
 
 // job turns one grid point into its harness job, the single place a run's

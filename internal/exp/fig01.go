@@ -66,9 +66,8 @@ func Fig01(r *Runner) (*Table, error) {
 }
 
 // workingSetFraction computes the Figure 1 metric for w on k active SMs.
-func workingSetFraction(r *Runner, w *trace.Workload, smCount int) float64 {
+func workingSetFraction(r *Runner, w *trace.Compiled, smCount int) float64 {
 	k := busiestKernel(w)
-	warpSize := r.Base.GPU.WarpSize
 	pageBytes := r.Base.UVM.PageBytes
 
 	// Blocks co-resident on k SMs: k SMs x blocks-per-SM, in dispatch
@@ -83,7 +82,7 @@ func workingSetFraction(r *Runner, w *trace.Workload, smCount int) float64 {
 	all := make(map[uint64]struct{})
 	blockPages := make([]map[uint64]struct{}, k.Blocks)
 	for b := 0; b < k.Blocks; b++ {
-		blockPages[b] = trace.PagesTouched(*k, b, warpSize, pageBytes)
+		blockPages[b] = trace.PagesTouched(k, b, pageBytes)
 		for pg := range blockPages[b] {
 			all[pg] = struct{}{}
 		}
@@ -113,11 +112,12 @@ func workingSetFraction(r *Runner, w *trace.Workload, smCount int) float64 {
 
 // busiestKernel picks the kernel with the most blocks x threads (the main
 // compute kernel), preferring later kernels on ties (warm phases).
-func busiestKernel(w *trace.Workload) *trace.Kernel {
-	best := &w.Kernels[0]
+func busiestKernel(w *trace.Compiled) *trace.CompiledKernel {
+	kernels := w.Kernels()
+	best := &kernels[0]
 	bestWork := 0
-	for i := range w.Kernels {
-		k := &w.Kernels[i]
+	for i := range kernels {
+		k := &kernels[i]
 		work := k.Blocks * k.ThreadsPerBlock
 		if work >= bestWork {
 			best = k

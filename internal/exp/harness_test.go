@@ -213,25 +213,6 @@ func TestWorkloadConcurrentBuild(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesLive is the experiment-level fidelity guard for the
-// capture/compile/replay split: a grid driven from compiled flat traces
-// (the default) must render byte-identical tables to one regenerating
-// warp streams live (-compiled=false). This is the in-process version of
-// the CI step that diffs two full cmd/experiments invocations.
-func TestCompiledMatchesLive(t *testing.T) {
-	ids := []string{"fig11"}
-	if raceEnabled {
-		ids = []string{"fig16"}
-	}
-	compiled := render(t, tinyRunner(harness.New(harness.Options{Jobs: 4})), ids...)
-	liveRunner := tinyRunner(harness.New(harness.Options{Jobs: 4}))
-	liveRunner.Live = true
-	live := render(t, liveRunner, ids...)
-	if !bytes.Equal(compiled, live) {
-		t.Fatalf("compiled-trace output differs from live-stream output:\n--- compiled ---\n%s\n--- live ---\n%s", compiled, live)
-	}
-}
-
 // TestTraceDirTracesFreshJobs: with TraceDir set, every job the pool runs
 // fresh writes one execution trace, named from its ID, that passes
 // telemetry.Check; a rerun served from the result cache writes none.

@@ -74,8 +74,7 @@ type shard struct {
 
 	// Per-kernel state, set when the launch message arrives. The shard owns
 	// the static partition {dom, dom+D, dom+2D, ...} of the grid's blocks.
-	kernel            *trace.Kernel
-	warpSize          int
+	kernel            *trace.CompiledKernel
 	schedLimit        int
 	switchCycles      uint64
 	nextLocal         int
@@ -126,7 +125,7 @@ type Cluster struct {
 	la  uint64 // system lookahead (minimum cross-domain latency)
 
 	// Per-kernel state (hub side: grid-completion accounting).
-	kernel       *trace.Kernel
+	kernel       *trace.CompiledKernel
 	blocksDone   int
 	onKernelDone func()
 
@@ -338,13 +337,13 @@ func (c *Cluster) NumSMs() int { return len(c.enabledSM) }
 // SchedulableBlocks computes how many blocks of kernel k one SM can host
 // actively, applying the thread, register, and block-slot constraints from
 // Section 2.1.
-func (c *Cluster) SchedulableBlocks(k *trace.Kernel) int {
+func (c *Cluster) SchedulableBlocks(k *trace.CompiledKernel) int {
 	return SchedulableBlocks(&c.cfg.GPU, k)
 }
 
 // SchedulableBlocks is the package-level form of the per-SM block limit,
 // used by the working-set analyzer as well as the cluster.
-func SchedulableBlocks(g *config.GPU, k *trace.Kernel) int {
+func SchedulableBlocks(g *config.GPU, k *trace.CompiledKernel) int {
 	limit := g.MaxBlocksPerSM
 	if byThreads := g.ThreadsPerSM / k.ThreadsPerBlock; byThreads < limit {
 		limit = byThreads
@@ -364,7 +363,7 @@ func SchedulableBlocks(g *config.GPU, k *trace.Kernel) int {
 // contextSwitchCycles prices one full context switch (save + restore of
 // register files and per-block state through global memory), following
 // footnote 5 and Section 6.5 of the paper.
-func (c *Cluster) contextSwitchCycles(k *trace.Kernel) uint64 {
+func (c *Cluster) contextSwitchCycles(k *trace.CompiledKernel) uint64 {
 	const blockStateBytes = 5 << 10 // warp IDs, block IDs, SIMT stack
 	ctx := uint64(k.ThreadsPerBlock*k.RegsPerThread*4) + blockStateBytes
 	bw := c.cfg.GPU.GlobalMemBWBytesPerCycle
@@ -377,7 +376,7 @@ func (c *Cluster) contextSwitchCycles(k *trace.Kernel) uint64 {
 // Launch starts kernel k. onDone runs when every block has finished.
 // Only one kernel runs at a time. The shards receive their partitions one
 // hop after the launch.
-func (c *Cluster) Launch(k *trace.Kernel, onDone func()) {
+func (c *Cluster) Launch(k *trace.CompiledKernel, onDone func()) {
 	if c.kernel != nil {
 		panic("gpu: Launch while a kernel is running")
 	}
@@ -402,7 +401,6 @@ func (s *shard) launch() {
 	}
 	k := s.c.kernel
 	s.kernel = k
-	s.warpSize = s.c.cfg.GPU.WarpSize
 	s.schedLimit = s.c.SchedulableBlocks(k)
 	s.switchCycles = s.c.contextSwitchCycles(k)
 	s.nextLocal = 0
@@ -451,7 +449,7 @@ func (s *shard) dispatchBlock(sm *SM, active bool) (*Block, bool) {
 	}
 	s.nextLocal++
 	b := &Block{idx: idx, sm: sm, active: active}
-	nWarps := s.kernel.WarpsPerBlock(s.warpSize)
+	nWarps := s.kernel.WarpsPerBlock()
 	b.warps = make([]*Warp, 0, nWarps)
 	for w := 0; w < nWarps; w++ {
 		wp := &Warp{

@@ -67,32 +67,53 @@ func (r *testRig) runUntil(limit uint64) {
 	r.c.FlushStats()
 }
 
+// compileKernel compiles the one-kernel workload k at the default warp
+// size: the form a Cluster launches.
+func compileKernel(k trace.Kernel) *trace.CompiledKernel {
+	c, err := trace.Compile(&trace.Workload{Name: k.Name, Kernels: []trace.Kernel{k}}, config.Default().GPU.WarpSize)
+	if err != nil {
+		panic(err)
+	}
+	return &c.Kernels()[0]
+}
+
 // simpleKernel builds a kernel where each warp performs nAccesses strided
 // loads starting at a per-warp base address.
-func simpleKernel(blocks, threadsPerBlock, regs, nAccesses int, stride uint64) *trace.Kernel {
-	return &trace.Kernel{
+func simpleKernel(blocks, threadsPerBlock, regs, nAccesses int, stride uint64) *trace.CompiledKernel {
+	return compileKernel(trace.Kernel{
 		Name:            "simple",
 		Blocks:          blocks,
 		ThreadsPerBlock: threadsPerBlock,
 		RegsPerThread:   regs,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			var accs []trace.Access
+		Emit: func(b *trace.Builder, block, warp int) {
 			base := uint64(0x1_0000_0000) + uint64(block*1024+warp)*stride*uint64(nAccesses)
 			for i := 0; i < nAccesses; i++ {
-				accs = append(accs, trace.Access{
-					ComputeCycles: 2,
-					Addrs:         []uint64{base + uint64(i)*stride},
-				})
+				b.Addr(base + uint64(i)*stride)
+				b.EndAccess(2, false)
 			}
-			return trace.NewSliceStream(accs)
 		},
-	}
+	})
+}
+
+// warpKernel builds a one-block, one-warp kernel that performs accs.
+func warpKernel(name string, accs []trace.Access) *trace.CompiledKernel {
+	return compileKernel(trace.Kernel{
+		Name: name, Blocks: 1, ThreadsPerBlock: 32, RegsPerThread: 16,
+		Emit: func(b *trace.Builder, block, warp int) {
+			for _, a := range accs {
+				for _, addr := range a.Addrs {
+					b.Addr(addr)
+				}
+				b.EndAccess(a.ComputeCycles, a.Store)
+			}
+		},
+	})
 }
 
 // mapAll makes every page the kernel touches resident.
-func mapAll(r *testRig, k *trace.Kernel) {
+func mapAll(r *testRig, k *trace.CompiledKernel) {
 	for b := 0; b < k.Blocks; b++ {
-		for p := range trace.PagesTouched(*k, b, r.cfg.GPU.WarpSize, r.cfg.UVM.PageBytes) {
+		for p := range trace.PagesTouched(k, b, r.cfg.UVM.PageBytes) {
 			r.pt.Map(p)
 		}
 	}
@@ -163,7 +184,7 @@ func TestSchedulableBlocksLimits(t *testing.T) {
 		{1024, 255, 1}, // would be 0 by regs; clamped to 1
 	}
 	for _, tc := range cases {
-		k := &trace.Kernel{Blocks: 1, ThreadsPerBlock: tc.threads, RegsPerThread: tc.regs}
+		k := &trace.CompiledKernel{Blocks: 1, ThreadsPerBlock: tc.threads, RegsPerThread: tc.regs}
 		if got := c.SchedulableBlocks(k); got != tc.want {
 			t.Errorf("SchedulableBlocks(threads=%d, regs=%d) = %d, want %d",
 				tc.threads, tc.regs, got, tc.want)
@@ -174,7 +195,7 @@ func TestSchedulableBlocksLimits(t *testing.T) {
 func TestContextSwitchCost(t *testing.T) {
 	r := newRig(nil)
 	c := r.build(nil)
-	k := &trace.Kernel{ThreadsPerBlock: 1024, RegsPerThread: 16}
+	k := &trace.CompiledKernel{ThreadsPerBlock: 1024, RegsPerThread: 16}
 	// ctx = 1024*16*4 + 5KB = 70656B; save+restore at 128B/cyc = 1104.
 	if got := c.contextSwitchCycles(k); got != 1104 {
 		t.Fatalf("switch cost = %d cycles, want 1104", got)
@@ -311,14 +332,9 @@ func TestMultiPageAccessFaultsOnAllPages(t *testing.T) {
 	r := newRig(func(c *config.Config) { c.GPU.NumSMs = 1 })
 	sink := &immediateSink{rig: r, delay: 10000}
 	c := r.build(sink)
-	k := &trace.Kernel{
-		Name: "two-page", Blocks: 1, ThreadsPerBlock: 32, RegsPerThread: 16,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			return trace.NewSliceStream([]trace.Access{
-				{Addrs: []uint64{0x1_0000_0000, 0x1_0001_0000}},
-			})
-		},
-	}
+	k := warpKernel("two-page", []trace.Access{
+		{Addrs: []uint64{0x1_0000_0000, 0x1_0001_0000}},
+	})
 	done := false
 	c.Launch(k, func() { done = true })
 	r.run()

@@ -36,19 +36,14 @@ func TestRunaheadRaisesSpeculativeFaults(t *testing.T) {
 		sink := &countingSink{rig: r, delay: 30000}
 		c := r.build(sink)
 		// One warp touching 4 distinct pages in sequence.
-		k := &trace.Kernel{
-			Name: "ra", Blocks: 1, ThreadsPerBlock: 32, RegsPerThread: 16,
-			NewWarpStream: func(block, warp int) trace.WarpStream {
-				var accs []trace.Access
-				for i := 0; i < 4; i++ {
-					accs = append(accs, trace.Access{
-						ComputeCycles: 2,
-						Addrs:         []uint64{0x1_0000_0000 + uint64(i)*64<<10},
-					})
-				}
-				return trace.NewSliceStream(accs)
-			},
+		var accs []trace.Access
+		for i := 0; i < 4; i++ {
+			accs = append(accs, trace.Access{
+				ComputeCycles: 2,
+				Addrs:         []uint64{0x1_0000_0000 + uint64(i)*64<<10},
+			})
 		}
+		k := warpKernel("ra", accs)
 		c.Launch(k, func() {})
 		// Stop at the first fault service: what got raised by then?
 		r.runUntil(29999)
@@ -86,16 +81,11 @@ func TestRunaheadSkipsResidentPages(t *testing.T) {
 	c := r.build(sink)
 	// Page 1 resident; page 0 and 2 not.
 	r.pt.Map(0x1_0001_0000 / (64 << 10))
-	k := &trace.Kernel{
-		Name: "ra2", Blocks: 1, ThreadsPerBlock: 32, RegsPerThread: 16,
-		NewWarpStream: func(block, warp int) trace.WarpStream {
-			return trace.NewSliceStream([]trace.Access{
-				{Addrs: []uint64{0x1_0000_0000}},
-				{Addrs: []uint64{0x1_0001_0000}}, // resident
-				{Addrs: []uint64{0x1_0002_0000}},
-			})
-		},
-	}
+	k := warpKernel("ra2", []trace.Access{
+		{Addrs: []uint64{0x1_0000_0000}},
+		{Addrs: []uint64{0x1_0001_0000}}, // resident
+		{Addrs: []uint64{0x1_0002_0000}},
+	})
 	done := false
 	c.Launch(k, func() { done = true })
 	r.run()

@@ -23,7 +23,7 @@ const (
 type Warp struct {
 	id     int
 	block  *Block
-	stream trace.WarpStream
+	stream trace.Cursor
 	state  WarpState
 
 	// replayAcc is the memory instruction to re-issue after a fault

@@ -111,7 +111,7 @@ func (c *BuildCache) SetLimit(bytes int64) {
 
 // artifactSizer is how cached values report their resident footprint;
 // *trace.Compiled implements it. Values that don't are accounted as 0
-// bytes (live-form workload views are cheap closures over params).
+// bytes.
 type artifactSizer interface{ ArtifactBytes() int64 }
 
 func valueSize(v any) int64 {

@@ -649,8 +649,7 @@ func (s *ArtifactStore) Load(key string) (any, bool) {
 }
 
 // Save implements the BuildCache disk tier. Values that are not compiled
-// workloads (live-form builds memoize *trace.Workload closures, which
-// have no meaningful serialization) report persisted=false without error.
+// workloads report persisted=false without error.
 func (s *ArtifactStore) Save(key string, v any) (bool, error) {
 	c, ok := v.(*Compiled)
 	if !ok {

@@ -15,7 +15,7 @@ import (
 // testdata/fuzz mirrors these (see TestWriteFuzzCorpus).
 func fuzzSeedArtifacts() [][]byte {
 	w := sampleWorkload()
-	c, err := Compile(w, 32)
+	c, err := Compile(w.Workload, 32)
 	if err != nil {
 		panic(err)
 	}
@@ -84,22 +84,7 @@ func exercise(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	w := c.Workload()
-	for _, k := range w.Kernels {
-		for b := 0; b < k.Blocks; b++ {
-			for wp := 0; wp < k.WarpsPerBlock(c.WarpSize); wp++ {
-				for st := k.NewWarpStream(b, wp); ; {
-					a, ok := st.Next()
-					if !ok {
-						break
-					}
-					for _, addr := range a.Addrs {
-						_ = addr
-					}
-				}
-			}
-		}
-	}
+	replay(c)
 	_ = c.Accesses()
 	_ = c.AddrWords()
 	_ = c.ArtifactBytes()

@@ -31,7 +31,7 @@ func patchCRC(data []byte) {
 func TestArtifactRoundTrip(t *testing.T) {
 	w := sampleWorkload()
 	for _, ws := range []int{16, 32, 64} {
-		c, err := Compile(w, ws)
+		c, err := Compile(w.Workload, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if got.Name != c.Name || got.Irregular != c.Irregular || got.WarpSize != ws {
 			t.Fatalf("warp %d: metadata mismatch: %q/%v/%d", ws, got.Name, got.Irregular, got.WarpSize)
 		}
-		accessesEqual(t, "artifact roundtrip", drainAllWarp(w, ws), drainAllWarp(got.Workload(), ws))
+		accessesEqual(t, "artifact roundtrip", w.want(ws), replay(got))
 	}
 }
 
@@ -58,23 +58,16 @@ func TestArtifactSpaceFidelity(t *testing.T) {
 	sp.Alloc("offsets", 8, 1000)
 	sp.Alloc("empty-frontier", 4, 0) // occupies a page slot, maps nothing
 	sp.Alloc("edges", 4, 12345)
-	w := &Workload{
-		Name:  "space-fidelity",
-		Space: sp,
-		Kernels: []Kernel{withAccesses(Kernel{Name: "k", Blocks: 1, ThreadsPerBlock: 32},
-			func(block, warp int) []Access {
-				return []Access{{ComputeCycles: 1, Addrs: []uint64{sp.Arrays()[0].Addr(0)}}}
-			})},
-	}
-	c, err := Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := &testWorkload{Workload: &Workload{Name: "space-fidelity", Space: sp}}
+	w.add(Kernel{Name: "k", Blocks: 1, ThreadsPerBlock: 32}, func(block, warp int) []Access {
+		return []Access{{ComputeCycles: 1, Addrs: []uint64{sp.Arrays()[0].Addr(0)}}}
+	})
+	c := mustCompile(t, w.Workload, 32)
 	got, err := ReadCompiledArtifact(artifactBytes(t, c, "k"), "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsp := got.Workload().Space
+	gsp := got.Space()
 	if gsp.PageBytes() != sp.PageBytes() || gsp.FootprintBytes() != sp.FootprintBytes() {
 		t.Fatalf("space geometry: pages %d/%d footprint %d/%d",
 			gsp.PageBytes(), sp.PageBytes(), gsp.FootprintBytes(), sp.FootprintBytes())
@@ -115,7 +108,7 @@ func TestArtifactKeyStructural(t *testing.T) {
 }
 
 func TestArtifactKeyAndVersionMismatch(t *testing.T) {
-	c, err := Compile(sampleWorkload(), 32)
+	c, err := Compile(sampleWorkload().Workload, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +139,7 @@ func TestArtifactKeyAndVersionMismatch(t *testing.T) {
 // targeted mutations; every one must fail with an error — never a panic,
 // and never a Compiled aliasing inconsistent sections.
 func TestArtifactCorruptionRejected(t *testing.T) {
-	c, err := Compile(sampleWorkload(), 32)
+	c, err := Compile(sampleWorkload().Workload, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +186,7 @@ func TestArtifactCorruptionRejected(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		w := got.Workload()
-		for _, k := range w.Kernels {
-			for b := 0; b < k.Blocks; b++ {
-				for wp := 0; wp < k.WarpsPerBlock(got.WarpSize); wp++ {
-					DrainWarp(k, b, wp, nil)
-				}
-			}
-		}
+		replay(got)
 	}
 }
 
@@ -210,7 +196,7 @@ func TestArtifactStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(sampleWorkload(), 32)
+	c, err := Compile(sampleWorkload().Workload, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +208,8 @@ func TestArtifactStore(t *testing.T) {
 	if v, hit := store.Load(key); hit || v != nil {
 		t.Fatal("tier Load hit on empty store")
 	}
-	if persisted, err := store.Save(key, sampleWorkload()); persisted || err != nil {
-		t.Fatalf("tier Save of a live workload: persisted=%v err=%v", persisted, err)
+	if persisted, err := store.Save(key, sampleWorkload().Workload); persisted || err != nil {
+		t.Fatalf("tier Save of an uncompiled workload: persisted=%v err=%v", persisted, err)
 	}
 	if persisted, err := store.Save(key, c); !persisted || err != nil {
 		t.Fatalf("tier Save: persisted=%v err=%v", persisted, err)
@@ -232,7 +218,7 @@ func TestArtifactStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accessesEqual(t, "store roundtrip", drainAll(c.Workload()), drainAll(got.Workload()))
+	accessesEqual(t, "store roundtrip", replay(c), replay(got))
 
 	// One artifact and no stray temp files after atomic writes.
 	ents, _ := os.ReadDir(dir)
@@ -261,7 +247,7 @@ func TestArtifactStore(t *testing.T) {
 // internal/workload measures the real ratio against a fresh build on a
 // Table-1 workload.
 func TestArtifactLoadAllocs(t *testing.T) {
-	c, err := Compile(sampleWorkload(), 32)
+	c, err := Compile(sampleWorkload().Workload, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

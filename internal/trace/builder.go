@@ -20,9 +20,7 @@ type laneSpan struct{ next, end int32 }
 // segment to the segment size, and at the kernel's end, the Builder cuts
 // it: the open warps are copied into exactly sized arrays. So each access
 // is copied once after Emit writes it, and no kernel-sized array is grown
-// or copied. Kernel.Stream runs a single warp through a one-warp Builder
-// for live replay and keeps the open arrays as they are, warp-sized.
-// Both see the same accesses.
+// or copied.
 //
 // A generator writes an access in one of two ways:
 //
@@ -50,15 +48,15 @@ type Builder struct {
 	err error
 }
 
-// begin starts a kernel of the given grid: blocks × warpsPerBlock warps.
-func (b *Builder) begin(k Kernel, blocks, warpsPerBlock int) {
+// begin starts kernel k at warpsPerBlock warps per block.
+func (b *Builder) begin(k Kernel, warpsPerBlock int) {
 	b.k = CompiledKernel{
 		Name:            k.Name,
-		Blocks:          blocks,
+		Blocks:          k.Blocks,
 		ThreadsPerBlock: k.ThreadsPerBlock,
 		RegsPerThread:   k.RegsPerThread,
 		warpsPerBlock:   warpsPerBlock,
-		warpOff:         make([]int32, 1, blocks*warpsPerBlock+1),
+		warpOff:         make([]int32, 1, k.Blocks*warpsPerBlock+1),
 	}
 	b.reset(0, 0)
 }

@@ -26,20 +26,5 @@ func TestLockstepMergesLanes(t *testing.T) {
 		{ComputeCycles: 5, Addrs: []uint64{3}},
 		{ComputeCycles: 7, Addrs: []uint64{30}, Store: true},
 	}
-	accessesEqual(t, "lockstep", want, DrainWarp(k, 0, 0, nil))
-}
-
-// TestKernelStreamEmitsLive pins live replay of a kernel that has only
-// Emit: Kernel.Stream emits each warp into a one-warp Builder, and the
-// accesses must match the reference streams warp for warp.
-func TestKernelStreamEmitsLive(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		w := randomWorkload(seed)
-		emitOnly := *w
-		emitOnly.Kernels = append([]Kernel(nil), w.Kernels...)
-		for i := range emitOnly.Kernels {
-			emitOnly.Kernels[i].NewWarpStream = nil
-		}
-		accessesEqual(t, "emitted", drainAll(w), drainAll(&emitOnly))
-	}
+	accessesEqual(t, "lockstep", want, replay(mustCompile(t, &Workload{Kernels: []Kernel{k}}, 32)))
 }

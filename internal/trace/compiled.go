@@ -10,8 +10,8 @@ package trace
 // finds that warp's segment once and then indexes it directly. Building a
 // Compiled pays the full host-side algorithm replay a single time;
 // afterwards any number of simulations — including parallel sweep jobs
-// sharing the same immutable Compiled — create streams with one small
-// allocation (the cursor) and execute Next/PeekAhead with none.
+// sharing the same immutable Compiled — replay it through cursors, values
+// that Next and PeekAhead advance without allocating.
 //
 // The layout mirrors trace-driven GPU simulators (MacSim's trace files,
 // MGPUSim's instruction streams): capture is separated from replay so the
@@ -25,7 +25,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"uvmsim/internal/layout"
 )
@@ -35,18 +34,13 @@ import (
 type Compiled struct {
 	Name      string
 	Irregular bool
-	// WarpSize is the warp width the streams were captured at. Replay
-	// under another configured warp size mispartitions threads: a
-	// narrower one asks for warps outside the compiled grid and panics,
-	// but a wider one silently replays a subset. Code replaying a Compiled
-	// it did not compile, such as a trace file, must check WarpSize first.
+	// WarpSize is the warp width the streams were captured at. A machine
+	// whose configured warp size differs would mispartition threads, so
+	// core.NewMachine refuses it.
 	WarpSize int
 
 	space   *layout.Space
 	kernels []CompiledKernel
-
-	viewOnce sync.Once
-	view     *Workload
 }
 
 // CompiledKernel is one kernel's flattened streams: its warp offsets
@@ -118,7 +112,7 @@ func compile(w *Workload, warpSize, segBytes int) (*Compiled, error) {
 			return nil, fmt.Errorf("trace: kernel %q has no Emit to compile", k.Name)
 		}
 		warps := k.WarpsPerBlock(warpSize)
-		b.begin(k, k.Blocks, warps)
+		b.begin(k, warps)
 		for blk := 0; blk < k.Blocks; blk++ {
 			for wp := 0; wp < warps; wp++ {
 				k.Emit(&b, blk, wp)
@@ -169,46 +163,23 @@ func (k *CompiledKernel) addrWords() int {
 	return n
 }
 
-// Kernels returns the compiled kernels (for inspection; replay goes
-// through Workload).
+// Kernels returns the compiled kernels, in launch order.
 func (c *Compiled) Kernels() []CompiledKernel { return c.kernels }
 
-// Workload returns the replayable view of c: a Workload whose streams are
-// cursors over the shared arrays. The view is built once and memoized in
-// c, so every caller shares one *Workload, and it lives exactly as long
-// as c does. It can be passed anywhere a live workload can (core.Run, the
-// working-set analyzer); it is immutable and safe to share across
-// concurrent simulations.
-func (c *Compiled) Workload() *Workload {
-	c.viewOnce.Do(func() {
-		w := &Workload{
-			Name:      c.Name,
-			Space:     c.space,
-			Irregular: c.Irregular,
-			Kernels:   make([]Kernel, len(c.kernels)),
-		}
-		for i := range c.kernels {
-			ck := &c.kernels[i]
-			w.Kernels[i] = Kernel{
-				Name:            ck.Name,
-				Blocks:          ck.Blocks,
-				ThreadsPerBlock: ck.ThreadsPerBlock,
-				RegsPerThread:   ck.RegsPerThread,
-				NewWarpStream: func(block, warp int) WarpStream {
-					return ck.Stream(block, warp)
-				},
-			}
-		}
-		c.view = w
-	})
-	return c.view
-}
+// Space returns the address-space layout the trace's addresses lie in.
+func (c *Compiled) Space() *layout.Space { return c.space }
+
+// FootprintPages returns the workload's memory footprint in pages.
+func (c *Compiled) FootprintPages() int { return c.space.FootprintPages() }
+
+// FootprintBytes returns the workload's memory footprint in bytes.
+func (c *Compiled) FootprintBytes() uint64 { return c.space.FootprintBytes() }
 
 // Stream returns a fresh cursor over the given warp's accesses. It finds
-// the warp's segment; the only allocation replay ever performs is the
-// cursor, and Next and PeekAhead are pure index arithmetic over that
-// segment's arrays.
-func (k *CompiledKernel) Stream(block, warp int) *Cursor {
+// the warp's segment; the cursor is a value, so replay allocates nothing,
+// and Next and PeekAhead are pure index arithmetic over that segment's
+// arrays.
+func (k *CompiledKernel) Stream(block, warp int) Cursor {
 	if block < 0 || block >= k.Blocks || warp < 0 || warp >= k.warpsPerBlock {
 		panic(fmt.Sprintf("trace: kernel %q stream (block %d, warp %d) outside compiled grid %dx%d — was the workload compiled at a different warp size?",
 			k.Name, block, warp, k.Blocks, k.warpsPerBlock))
@@ -217,15 +188,15 @@ func (k *CompiledKernel) Stream(block, warp int) *Cursor {
 	// The warp's segment is the last one that starts at or before it.
 	s := &k.segs[sort.Search(len(k.segs), func(j int) bool { return int(k.segs[j].warp0) > i })-1]
 	base := k.warpOff[s.warp0]
-	return &Cursor{s: s, pos: k.warpOff[i] - base, end: k.warpOff[i+1] - base}
+	return Cursor{s: s, pos: k.warpOff[i] - base, end: k.warpOff[i+1] - base}
 }
 
 // WarpsPerBlock returns the warp count per block the kernel was compiled
 // at.
 func (k *CompiledKernel) WarpsPerBlock() int { return k.warpsPerBlock }
 
-// Cursor replays one warp's accesses from a segment of a CompiledKernel.
-// It implements WarpStream.
+// Cursor replays one warp's accesses, in program order, from a segment of
+// a CompiledKernel.
 type Cursor struct {
 	s        *segment
 	pos, end int32
@@ -245,8 +216,8 @@ func (c *Cursor) at(i int32) Access {
 	}
 }
 
-// Next implements WarpStream.
-func (c *Cursor) Next() (Access, bool) {
+// Next returns the next access; ok is false at the warp's end.
+func (c *Cursor) Next() (acc Access, ok bool) {
 	if c.pos >= c.end {
 		return Access{}, false
 	}
@@ -255,9 +226,11 @@ func (c *Cursor) Next() (Access, bool) {
 	return a, true
 }
 
-// PeekAhead implements WarpStream: upcoming instruction i (0 = what Next
-// returns next) without consuming it.
-func (c *Cursor) PeekAhead(i int) (Access, bool) {
+// PeekAhead returns upcoming access i (0 = what Next returns next)
+// without consuming it; ok is false past the warp's end. It is the hook
+// of the runahead fault-generation mechanism (an idealized form of the
+// alternative Section 4.1 of the paper discusses and sets aside).
+func (c *Cursor) PeekAhead(i int) (acc Access, ok bool) {
 	if i < 0 || c.pos+int32(i) >= c.end {
 		return Access{}, false
 	}

@@ -12,12 +12,12 @@ import (
 // lane counts (including zero-lane pure-compute instructions), stores,
 // empty streams, and multi-kernel grids — the shapes that stress the
 // flattening offsets.
-func randomWorkload(seed int64) *Workload {
+func randomWorkload(seed int64) *testWorkload {
 	rng := rand.New(rand.NewSource(seed))
 	sp := layout.NewSpace(64 << 10)
 	arr := sp.Alloc("data", 4, 1<<16)
 	nKernels := 1 + rng.Intn(3)
-	w := &Workload{Name: "random", Space: sp, Irregular: true}
+	w := &testWorkload{Workload: &Workload{Name: "random", Space: sp, Irregular: true}}
 	for ki := 0; ki < nKernels; ki++ {
 		blocks := 1 + rng.Intn(4)
 		tpb := 32 * (1 + rng.Intn(4))
@@ -41,33 +41,29 @@ func randomWorkload(seed int64) *Workload {
 			}
 			streams[i] = accs
 		}
-		w.Kernels = append(w.Kernels, withAccesses(Kernel{
+		w.add(Kernel{
 			Name:            "k",
 			Blocks:          blocks,
 			ThreadsPerBlock: tpb,
 			RegsPerThread:   24,
 		}, func(block, warp int) []Access {
 			return streams[block*warps+warp]
-		}))
+		})
 	}
 	return w
 }
 
 // TestCompileMatchesLiveAndCodec is the property test: for randomized
 // workloads, compile(w) through the Builder and its UVMCMP1 round trip
-// (the bytes of a trace file or artifact-store entry) must both yield
-// exactly the live access sequence of the reference SliceStreams, stream
-// for stream.
+// (the bytes of a trace file or artifact-store entry) must both replay
+// exactly the reference accesses the generators return, warp for warp.
 func TestCompileMatchesLiveAndCodec(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		w := randomWorkload(seed)
-		live := drainAll(w)
+		want := w.want(32)
 
-		c, err := Compile(w, 32)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		accessesEqual(t, "compiled", live, drainAll(c.Workload()))
+		c := mustCompile(t, w.Workload, 32)
+		accessesEqual(t, "compiled", want, replay(c))
 
 		var buf bytes.Buffer
 		if err := WriteCompiledArtifact(&buf, c, ArtifactKey(w.Name, "h", uint64(seed), 32)); err != nil {
@@ -77,27 +73,23 @@ func TestCompileMatchesLiveAndCodec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		accessesEqual(t, "artifact", live, drainAll(dec.Workload()))
+		accessesEqual(t, "artifact", want, replay(dec))
 	}
 }
 
 func TestCompiledMetadata(t *testing.T) {
 	w := sampleWorkload()
-	c, err := Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
+	c := mustCompile(t, w.Workload, 32)
+	if c.Name != w.Name || c.Irregular != w.Irregular {
+		t.Fatalf("metadata mismatch: %q/%v", c.Name, c.Irregular)
 	}
-	cw := c.Workload()
-	if cw.Name != w.Name || cw.Irregular != w.Irregular {
-		t.Fatalf("metadata mismatch: %q/%v", cw.Name, cw.Irregular)
+	if c.Space() != w.Space {
+		t.Fatal("compiled trace must share the original Space")
 	}
-	if cw.Space != w.Space {
-		t.Fatal("compiled view must share the original Space")
+	if len(c.Kernels()) != len(w.Kernels) {
+		t.Fatalf("kernels %d != %d", len(c.Kernels()), len(w.Kernels))
 	}
-	if len(cw.Kernels) != len(w.Kernels) {
-		t.Fatalf("kernels %d != %d", len(cw.Kernels), len(w.Kernels))
-	}
-	for i, k := range cw.Kernels {
+	for i, k := range c.Kernels() {
 		orig := w.Kernels[i]
 		if k.Name != orig.Name || k.Blocks != orig.Blocks ||
 			k.ThreadsPerBlock != orig.ThreadsPerBlock || k.RegsPerThread != orig.RegsPerThread {
@@ -111,50 +103,41 @@ func TestCompiledMetadata(t *testing.T) {
 
 func TestCursorPeekAhead(t *testing.T) {
 	w := sampleWorkload()
-	c, err := Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := c.Kernels()[0]
-	st := k.Stream(0, 0)
-	live := w.Kernels[0].NewWarpStream(0, 0)
+	c := mustCompile(t, w.Workload, 32)
+	st := c.Kernels()[0].Stream(0, 0)
+	want := w.gens[0](0, 0)
 	for {
 		// Peek the whole remaining stream before every consume step.
 		for i := 0; ; i++ {
-			pa, okA := st.PeekAhead(i)
-			pb, okB := live.PeekAhead(i)
-			if okA != okB {
-				t.Fatalf("peek %d ok mismatch: %v vs %v", i, okA, okB)
+			pa, ok := st.PeekAhead(i)
+			if ok != (i < len(want)) {
+				t.Fatalf("peek %d ok = %v with %d accesses left", i, ok, len(want))
 			}
-			if !okA {
+			if !ok {
 				break
 			}
-			accessesEqual(t, "peek", []Access{pb}, []Access{pa})
+			accessesEqual(t, "peek", want[i:i+1], []Access{pa})
 		}
 		if _, ok := st.PeekAhead(-1); ok {
 			t.Fatal("negative peek succeeded")
 		}
-		a, okA := st.Next()
-		b, okB := live.Next()
-		if okA != okB {
-			t.Fatalf("next ok mismatch: %v vs %v", okA, okB)
+		a, ok := st.Next()
+		if ok != (len(want) > 0) {
+			t.Fatalf("next ok = %v with %d accesses left", ok, len(want))
 		}
-		if !okA {
+		if !ok {
 			break
 		}
-		accessesEqual(t, "next", []Access{b}, []Access{a})
+		accessesEqual(t, "next", want[:1], []Access{a})
+		want = want[1:]
 	}
 }
 
-// TestCursorReplayAllocations pins the zero-alloc replay contract: the
-// only allocation a warp's full replay performs is the cursor itself.
+// TestCursorReplayAllocations pins the zero-alloc replay contract: a
+// cursor is a value, so a warp's full replay allocates nothing.
 func TestCursorReplayAllocations(t *testing.T) {
-	w := sampleWorkload()
-	c, err := Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := c.Kernels()[0]
+	c := mustCompile(t, sampleWorkload().Workload, 32)
+	k := &c.Kernels()[0]
 	allocs := testing.AllocsPerRun(200, func() {
 		st := k.Stream(0, 1)
 		for {
@@ -168,8 +151,8 @@ func TestCursorReplayAllocations(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("replay allocated %.1f objects per stream; want <= 1 (the cursor)", allocs)
+	if allocs > 0 {
+		t.Fatalf("replay allocated %.1f objects per warp; want 0", allocs)
 	}
 }
 
@@ -178,27 +161,19 @@ func TestCursorReplayAllocations(t *testing.T) {
 // access's lanes in the shared pool.
 func TestCursorAddrsAliasSafety(t *testing.T) {
 	w := sampleWorkload()
-	c, err := Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := c.Kernels()[0]
-	st := k.Stream(0, 0)
+	c := mustCompile(t, w.Workload, 32)
+	st := c.Kernels()[0].Stream(0, 0)
 	first, ok := st.Next()
 	if !ok || len(first.Addrs) == 0 {
 		t.Fatal("expected a memory access first")
 	}
 	_ = append(first.Addrs, 0xdeadbeef) // must not write into the pool
-	// Replay again and compare against the live stream.
-	accessesEqual(t, "after append", drainAll(w), drainAll(c.Workload()))
+	// Replay again and compare against the reference accesses.
+	accessesEqual(t, "after append", w.want(32), replay(c))
 }
 
 func TestCompiledStreamOutsideGridPanics(t *testing.T) {
-	w := sampleWorkload()
-	c, err := Compile(w, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustCompile(t, sampleWorkload().Workload, 32)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-grid stream did not panic")
@@ -213,13 +188,13 @@ func TestCompiledStreamOutsideGridPanics(t *testing.T) {
 func TestCompileRequiresEmit(t *testing.T) {
 	w := sampleWorkload()
 	w.Kernels[1].Emit = nil
-	if _, err := Compile(w, 32); err == nil {
+	if _, err := Compile(w.Workload, 32); err == nil {
 		t.Fatal("kernel without Emit compiled")
 	}
 }
 
 func TestCompileRejectsBadWarpSize(t *testing.T) {
-	if _, err := Compile(sampleWorkload(), 0); err == nil {
+	if _, err := Compile(sampleWorkload().Workload, 0); err == nil {
 		t.Fatal("warp size 0 accepted")
 	}
 }

@@ -65,7 +65,7 @@ func TestCatalogSegmentedCompile(t *testing.T) {
 
 // replayEqual walks two cursors in step through Next, peeking one access
 // ahead each time.
-func replayEqual(t *testing.T, name string, want, got *trace.Cursor) {
+func replayEqual(t *testing.T, name string, want, got trace.Cursor) {
 	t.Helper()
 	for i := 0; ; i++ {
 		pw, okPW := want.PeekAhead(1)

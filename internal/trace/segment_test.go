@@ -8,10 +8,10 @@ import (
 // bigWarpWorkload adds a kernel with one warp, block 1's first, far
 // larger than the others, so that a small segment size gives it a
 // segment of its own.
-func bigWarpWorkload() *Workload {
+func bigWarpWorkload() *testWorkload {
 	w := sampleWorkload()
 	arr := w.Space.Arrays()[0]
-	w.Kernels = append(w.Kernels, withAccesses(Kernel{
+	w.add(Kernel{
 		Name:            "big",
 		Blocks:          3,
 		ThreadsPerBlock: 64,
@@ -29,7 +29,7 @@ func bigWarpWorkload() *Workload {
 			}
 		}
 		return accs
-	}))
+	})
 	return w
 }
 
@@ -40,9 +40,9 @@ func bigWarpWorkload() *Workload {
 func TestSegmentedCompileMatchesOneSegment(t *testing.T) {
 	var workloads []*Workload
 	for seed := int64(0); seed < 25; seed++ {
-		workloads = append(workloads, randomWorkload(seed))
+		workloads = append(workloads, randomWorkload(seed).Workload)
 	}
-	workloads = append(workloads, bigWarpWorkload())
+	workloads = append(workloads, bigWarpWorkload().Workload)
 	for i, w := range workloads {
 		ref, err := Compile(w, 32)
 		if err != nil {
@@ -136,7 +136,7 @@ func compiledEqual(t *testing.T, ref, c *Compiled) {
 
 // cursorsEqual walks two cursors in step, peeking every remaining access
 // before each Next.
-func cursorsEqual(t *testing.T, want, got *Cursor) {
+func cursorsEqual(t *testing.T, want, got Cursor) {
 	t.Helper()
 	if want.Remaining() != got.Remaining() {
 		t.Fatalf("cursor holds %d accesses, want %d", got.Remaining(), want.Remaining())

@@ -6,41 +6,17 @@ import (
 	"uvmsim/internal/layout"
 )
 
-// sampleWorkload builds a small two-kernel workload with divergent lane
-// counts and stores.
-func sampleWorkload() *Workload {
-	sp := layout.NewSpace(64 << 10)
-	arr := sp.Alloc("data", 4, 1<<16)
-	mk := func(name string, blocks int) Kernel {
-		return withAccesses(Kernel{
-			Name:            name,
-			Blocks:          blocks,
-			ThreadsPerBlock: 64,
-			RegsPerThread:   24,
-		}, func(block, warp int) []Access {
-			return []Access{
-				{ComputeCycles: 3, Addrs: []uint64{arr.Addr(block * 100), arr.Addr(block*100 + 1)}},
-				{ComputeCycles: 1},
-				{ComputeCycles: 9, Addrs: []uint64{arr.Addr(warp)}, Store: true},
-			}
-		})
-	}
-	return &Workload{
-		Name:      "sample",
-		Space:     sp,
-		Kernels:   []Kernel{mk("k0", 3), mk("k1", 1)},
-		Irregular: true,
-	}
+// testWorkload is a test workload given by the accesses of each warp:
+// gens[i] returns kernel i's reference accesses, which never touch a
+// Builder, and the kernel's Emit writes the same accesses through one, a
+// whole access at a time, for Compile.
+type testWorkload struct {
+	*Workload
+	gens []func(block, warp int) []Access
 }
 
-// withAccesses gives test kernel k the warp streams gen returns, twice
-// over: NewWarpStream replays them as SliceStreams, the reference that
-// never touches a Builder, and Emit writes them through a Builder, one
-// whole access at a time, for Compile.
-func withAccesses(k Kernel, gen func(block, warp int) []Access) Kernel {
-	k.NewWarpStream = func(block, warp int) WarpStream {
-		return NewSliceStream(gen(block, warp))
-	}
+// add appends kernel k, whose warps perform the accesses gen returns.
+func (w *testWorkload) add(k Kernel, gen func(block, warp int) []Access) {
 	k.Emit = func(b *Builder, block, warp int) {
 		for _, a := range gen(block, warp) {
 			for _, addr := range a.Addrs {
@@ -49,21 +25,67 @@ func withAccesses(k Kernel, gen func(block, warp int) []Access) Kernel {
 			b.EndAccess(a.ComputeCycles, a.Store)
 		}
 	}
-	return k
+	w.Kernels = append(w.Kernels, k)
+	w.gens = append(w.gens, gen)
 }
 
-func drainAll(w *Workload) []Access { return drainAllWarp(w, 32) }
-
-func drainAllWarp(w *Workload, warpSize int) []Access {
+// want returns the reference accesses of every warp at warpSize, in grid
+// order.
+func (w *testWorkload) want(warpSize int) []Access {
 	var out []Access
-	for _, k := range w.Kernels {
+	for i, k := range w.Kernels {
 		for b := 0; b < k.Blocks; b++ {
 			for wp := 0; wp < k.WarpsPerBlock(warpSize); wp++ {
-				out = DrainWarp(k, b, wp, out)
+				out = append(out, w.gens[i](b, wp)...)
 			}
 		}
 	}
 	return out
+}
+
+// sampleWorkload builds a small two-kernel workload with divergent lane
+// counts and stores.
+func sampleWorkload() *testWorkload {
+	sp := layout.NewSpace(64 << 10)
+	arr := sp.Alloc("data", 4, 1<<16)
+	w := &testWorkload{Workload: &Workload{Name: "sample", Space: sp, Irregular: true}}
+	gen := func(block, warp int) []Access {
+		return []Access{
+			{ComputeCycles: 3, Addrs: []uint64{arr.Addr(block * 100), arr.Addr(block*100 + 1)}},
+			{ComputeCycles: 1},
+			{ComputeCycles: 9, Addrs: []uint64{arr.Addr(warp)}, Store: true},
+		}
+	}
+	w.add(Kernel{Name: "k0", Blocks: 3, ThreadsPerBlock: 64, RegsPerThread: 24}, gen)
+	w.add(Kernel{Name: "k1", Blocks: 1, ThreadsPerBlock: 64, RegsPerThread: 24}, gen)
+	return w
+}
+
+// replay drains a cursor over every warp of c, in grid order.
+func replay(c *Compiled) []Access {
+	var out []Access
+	for i := range c.Kernels() {
+		k := &c.Kernels()[i]
+		for b := 0; b < k.Blocks; b++ {
+			for wp := 0; wp < k.WarpsPerBlock(); wp++ {
+				cur := k.Stream(b, wp)
+				for a, ok := cur.Next(); ok; a, ok = cur.Next() {
+					out = append(out, a)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// mustCompile compiles w at warpSize or fails the test.
+func mustCompile(t *testing.T, w *Workload, warpSize int) *Compiled {
+	t.Helper()
+	c, err := Compile(w, warpSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // accessesEqual compares two access sequences lane by lane.
@@ -87,28 +109,6 @@ func accessesEqual(t *testing.T, label string, a, b []Access) {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	accs := []Access{
-		{ComputeCycles: 1, Addrs: []uint64{10}},
-		{ComputeCycles: 2},
-	}
-	s := NewSliceStream(accs)
-	a, ok := s.Next()
-	if !ok || a.ComputeCycles != 1 || !a.IsMemory() {
-		t.Fatalf("first access = %+v (%v)", a, ok)
-	}
-	a, ok = s.Next()
-	if !ok || a.IsMemory() {
-		t.Fatalf("second access = %+v (%v)", a, ok)
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("stream did not end")
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted stream yielded again")
-	}
-}
-
 func TestWarpsPerBlock(t *testing.T) {
 	cases := []struct {
 		threads, warpSize, want int
@@ -127,17 +127,13 @@ func TestWarpsPerBlock(t *testing.T) {
 }
 
 func TestPagesTouched(t *testing.T) {
-	k := Kernel{
-		Blocks:          2,
-		ThreadsPerBlock: 64,
-		NewWarpStream: func(block, warp int) WarpStream {
-			base := uint64(block) * 128 << 10 // 2 pages per block
-			return NewSliceStream([]Access{
-				{Addrs: []uint64{base, base + 64<<10}},
-			})
-		},
-	}
-	pages := PagesTouched(k, 1, 32, 64<<10)
+	w := &testWorkload{Workload: &Workload{Name: "pages"}}
+	w.add(Kernel{Blocks: 2, ThreadsPerBlock: 64}, func(block, warp int) []Access {
+		base := uint64(block) * 128 << 10 // 2 pages per block
+		return []Access{{Addrs: []uint64{base, base + 64<<10}}}
+	})
+	c := mustCompile(t, w.Workload, 32)
+	pages := PagesTouched(&c.Kernels()[0], 1, 64<<10)
 	if len(pages) != 2 {
 		t.Fatalf("block 1 touched %d pages, want 2", len(pages))
 	}
@@ -152,11 +148,14 @@ func TestPagesTouched(t *testing.T) {
 func TestWorkloadFootprint(t *testing.T) {
 	sp := layout.NewSpace(64 << 10)
 	sp.Alloc("a", 4, 32768) // 2 pages
-	w := &Workload{Name: "x", Space: sp}
-	if w.FootprintPages() != 2 {
-		t.Fatalf("FootprintPages = %d", w.FootprintPages())
+	c := mustCompile(t, &Workload{Name: "x", Space: sp}, 32)
+	if c.Space() != sp {
+		t.Fatal("compiled trace must share the workload's Space")
 	}
-	if w.FootprintBytes() != 2*64<<10 {
-		t.Fatalf("FootprintBytes = %d", w.FootprintBytes())
+	if c.FootprintPages() != 2 {
+		t.Fatalf("FootprintPages = %d", c.FootprintPages())
+	}
+	if c.FootprintBytes() != 2*64<<10 {
+		t.Fatalf("FootprintBytes = %d", c.FootprintBytes())
 	}
 }

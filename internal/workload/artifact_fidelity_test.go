@@ -58,11 +58,11 @@ func TestArtifactReplayFidelity(t *testing.T) {
 				label string
 				cfg   config.Config
 			}{{"demand", demand}, {"preload", preload}} {
-				freshStats, err := core.Run(tc.cfg, fresh.Workload())
+				freshStats, err := core.Run(tc.cfg, fresh)
 				if err != nil {
 					t.Fatalf("%s fresh run: %v", tc.label, err)
 				}
-				loadedStats, err := core.Run(tc.cfg, loaded.Workload())
+				loadedStats, err := core.Run(tc.cfg, loaded)
 				if err != nil {
 					t.Fatalf("%s disk-loaded run: %v", tc.label, err)
 				}

@@ -55,22 +55,3 @@ func BenchmarkCompiledBuildVsLoad(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkWarpStreamGeneration(b *testing.B) {
-	p := Default()
-	p.Vertices = 1 << 15
-	w, err := Build("PR", p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := w.Kernels[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := k.Stream(i%k.Blocks, i%k.WarpsPerBlock(32))
-		for {
-			if _, ok := st.Next(); !ok {
-				break
-			}
-		}
-	}
-}

@@ -23,36 +23,20 @@ func TestExtensionWorkloadsBuild(t *testing.T) {
 }
 
 // drainTraffic counts total lane accesses and stores of one workload.
-func drainTraffic(t *testing.T, w *trace.Workload) (lanes, stores int) {
-	t.Helper()
-	for _, k := range w.Kernels {
-		for blk := 0; blk < k.Blocks; blk++ {
-			for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-				st := k.Stream(blk, wp)
-				for {
-					acc, ok := st.Next()
-					if !ok {
-						break
-					}
-					lanes += len(acc.Addrs)
-					if acc.Store {
-						stores++
-					}
-				}
-			}
+func drainTraffic(c *trace.Compiled) (lanes, stores int) {
+	eachAccess(c, func(_, _, _ int, acc trace.Access) {
+		lanes += len(acc.Addrs)
+		if acc.Store {
+			stores++
 		}
-	}
+	})
 	return lanes, stores
 }
 
 func TestDCTrafficScalesWithEdges(t *testing.T) {
 	p := smallParams()
 	p.Vertices = 512
-	w, err := Build("DC", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanes, stores := drainTraffic(t, w)
+	lanes, stores := drainTraffic(compiled(t, "DC", p))
 	// DC does ~2 ops per vertex + 2 per edge: traffic must exceed 2E.
 	minLanes := 2 * p.Vertices * p.AvgDegree
 	if lanes < minLanes {
@@ -66,15 +50,17 @@ func TestDCTrafficScalesWithEdges(t *testing.T) {
 func TestCCRoundsMatchAlgorithm(t *testing.T) {
 	p := smallParams()
 	p.Vertices = 512
-	w, err := Build("CC", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compiled(t, "CC", p)
 	// Every CC kernel is a full sweep; at least one store in rounds that
 	// changed labels.
-	for i, k := range w.Kernels {
-		_, stores := drainTraffic(t, &trace.Workload{Space: w.Space, Kernels: []trace.Kernel{k}})
-		if stores == 0 {
+	stores := make([]int, len(c.Kernels()))
+	eachAccess(c, func(ki, _, _ int, acc trace.Access) {
+		if acc.Store {
+			stores[ki]++
+		}
+	})
+	for i, n := range stores {
+		if n == 0 {
 			t.Fatalf("CC round %d has no label stores", i)
 		}
 	}
@@ -85,12 +71,9 @@ func TestSSSPTouchesWeights(t *testing.T) {
 	// regression guard for the layout wiring.
 	p := smallParams()
 	p.Vertices = 256
-	w, err := Build("SSSP-TWC", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compiled(t, "SSSP-TWC", p)
 	var weights *struct{ lo, hi uint64 }
-	for _, arr := range w.Space.Arrays() {
+	for _, arr := range c.Space().Arrays() {
 		if arr.Name == "weights" {
 			weights = &struct{ lo, hi uint64 }{arr.Base, arr.End()}
 		}
@@ -99,24 +82,13 @@ func TestSSSPTouchesWeights(t *testing.T) {
 		t.Fatal("SSSP has no weights array")
 	}
 	touched := false
-	for _, k := range w.Kernels {
-		for blk := 0; blk < k.Blocks && !touched; blk++ {
-			for wp := 0; wp < k.WarpsPerBlock(32) && !touched; wp++ {
-				st := k.Stream(blk, wp)
-				for {
-					acc, ok := st.Next()
-					if !ok {
-						break
-					}
-					for _, a := range acc.Addrs {
-						if a >= weights.lo && a < weights.hi {
-							touched = true
-						}
-					}
-				}
+	eachAccess(c, func(_, _, _ int, acc trace.Access) {
+		for _, a := range acc.Addrs {
+			if a >= weights.lo && a < weights.hi {
+				touched = true
 			}
 		}
-	}
+	})
 	if !touched {
 		t.Fatal("SSSP never reads its weights array")
 	}

@@ -13,32 +13,42 @@ import (
 // lockstep merge exactly, so they are the quantity compared.
 
 // laneOpsPerKernel counts lane-level memory operations per kernel.
-func laneOpsPerKernel(w *trace.Workload) []int {
-	out := make([]int, len(w.Kernels))
-	for ki, k := range w.Kernels {
+func laneOpsPerKernel(c *trace.Compiled) []int {
+	out := make([]int, len(c.Kernels()))
+	eachAccess(c, func(ki, _, _ int, acc trace.Access) { out[ki] += len(acc.Addrs) })
+	return out
+}
+
+// compiled builds the named workload and compiles it at warp size 32.
+func compiled(t testing.TB, name string, p Params) *trace.Compiled {
+	t.Helper()
+	c, err := BuildCompiled(name, p, 32)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return c
+}
+
+// eachAccess replays every warp of every kernel of c in grid order,
+// calling fn with the kernel index, block, warp and access.
+func eachAccess(c *trace.Compiled, fn func(kernel, block, warp int, acc trace.Access)) {
+	for ki := range c.Kernels() {
+		k := &c.Kernels()[ki]
 		for b := 0; b < k.Blocks; b++ {
-			for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-				st := k.Stream(b, wp)
-				for {
-					acc, ok := st.Next()
-					if !ok {
-						break
-					}
-					out[ki] += len(acc.Addrs)
+			for wp := 0; wp < k.WarpsPerBlock(); wp++ {
+				cur := k.Stream(b, wp)
+				for acc, ok := cur.Next(); ok; acc, ok = cur.Next() {
+					fn(ki, b, wp, acc)
 				}
 			}
 		}
 	}
-	return out
 }
 
 func TestBFSTTCTrafficMatchesAlgorithm(t *testing.T) {
 	p := smallParams()
 	p.Vertices = 1024
-	w, err := Build("BFS-TTC", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := compiled(t, "BFS-TTC", p)
 	g := graph.RMAT(graph.GenConfig{Vertices: p.Vertices, EdgesPer: p.AvgDegree, Seed: p.Seed})
 	levels, frontiers := graph.BFSLevels(g, bfsSource(g))
 
@@ -70,10 +80,7 @@ func TestPRTrafficMatchesAlgorithm(t *testing.T) {
 	p := smallParams()
 	p.Vertices = 1024
 	p.PRIterations = 2
-	w, err := Build("PR", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := compiled(t, "PR", p)
 	g := graph.RMAT(graph.GenConfig{Vertices: p.Vertices, EdgesPer: p.AvgDegree, Seed: p.Seed})
 
 	got := laneOpsPerKernel(w)
@@ -96,10 +103,7 @@ func TestPRTrafficMatchesAlgorithm(t *testing.T) {
 func TestKCoreTrafficMatchesAlgorithm(t *testing.T) {
 	p := smallParams()
 	p.Vertices = 1024
-	w, err := Build("KCORE", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := compiled(t, "KCORE", p)
 	g := graph.RMAT(graph.GenConfig{Vertices: p.Vertices, EdgesPer: p.AvgDegree, Seed: p.Seed})
 	_, removed := graph.KCoreRounds(g, p.KCoreK)
 

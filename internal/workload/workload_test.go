@@ -30,7 +30,7 @@ func TestBuildAllWorkloads(t *testing.T) {
 		if len(w.Kernels) == 0 {
 			t.Errorf("%s: no kernels", name)
 		}
-		if w.FootprintPages() == 0 {
+		if w.Space.FootprintPages() == 0 {
 			t.Errorf("%s: zero footprint", name)
 		}
 		for _, k := range w.Kernels {
@@ -60,33 +60,22 @@ func TestBadParamsRejected(t *testing.T) {
 	}
 }
 
-// addressesInSpace drains every stream of every kernel and checks all
+// addressesInSpace replays every warp of every kernel and checks all
 // addresses fall inside the workload's managed space.
-func addressesInSpace(t *testing.T, w *trace.Workload) (totalAccesses int) {
+func addressesInSpace(t *testing.T, c *trace.Compiled) (totalAccesses int) {
 	t.Helper()
-	for _, k := range w.Kernels {
-		for blk := 0; blk < k.Blocks; blk++ {
-			for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-				st := k.Stream(blk, wp)
-				for {
-					acc, ok := st.Next()
-					if !ok {
-						break
-					}
-					totalAccesses++
-					for _, a := range acc.Addrs {
-						if !w.Space.Contains(a) {
-							t.Fatalf("%s/%s block %d warp %d: address %#x outside managed space",
-								w.Name, k.Name, blk, wp, a)
-						}
-					}
-					if len(acc.Addrs) > 32 {
-						t.Fatalf("%s/%s: access with %d lanes", w.Name, k.Name, len(acc.Addrs))
-					}
-				}
+	eachAccess(c, func(ki, blk, wp int, acc trace.Access) {
+		totalAccesses++
+		for _, a := range acc.Addrs {
+			if !c.Space().Contains(a) {
+				t.Fatalf("%s/%s block %d warp %d: address %#x outside managed space",
+					c.Name, c.Kernels()[ki].Name, blk, wp, a)
 			}
 		}
-	}
+		if len(acc.Addrs) > 32 {
+			t.Fatalf("%s/%s: access with %d lanes", c.Name, c.Kernels()[ki].Name, len(acc.Addrs))
+		}
+	})
 	return totalAccesses
 }
 
@@ -95,94 +84,71 @@ func TestAllAddressesInsideSpace(t *testing.T) {
 	p.Vertices = 512
 	p.RegularElems = 1 << 11
 	for _, name := range All() {
-		w, err := Build(name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := addressesInSpace(t, w); n == 0 {
+		if n := addressesInSpace(t, compiled(t, name, p)); n == 0 {
 			t.Errorf("%s: no accesses generated", name)
 		}
 	}
 }
 
+// TestStreamsArePure holds a generator to Kernel.Emit's purity contract:
+// compiling one built workload twice emits every warp twice, and both
+// compiles must hold the same trace.
 func TestStreamsArePure(t *testing.T) {
-	// Stream must return identical streams each call (the simulator and
-	// the working-set analyzer both create them).
 	p := smallParams()
 	p.Vertices = 512
 	w, err := Build("BFS-TTC", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := w.Kernels[0]
-	if i := firstDifference(k.Stream(0, 0), k.Stream(0, 0)); i >= 0 {
-		t.Fatalf("two streams of one warp differ at access %d", i)
+	var digests [2]string
+	for i := range digests {
+		c, err := trace.Compile(w, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[i] = traceDigest(c)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("two compiles of one workload differ: %s vs %s", digests[0], digests[1])
 	}
 }
 
 // TestConcurrentEmitMatchesCompiled holds every catalog generator to
 // Kernel.Emit's contract: a warp may be emitted from concurrent
 // goroutines and must give the same accesses each time. Each workload is
-// compiled once; then goroutines emit every warp of the first blocks of
-// every kernel live (Kernel.Stream) and compare it with the compiled
-// cursor for that warp. Under -race this catches a generator that keeps
-// mutable state in a kernel closure instead of in the Builder.
+// built once and compiled serially; then goroutines compile it again, all
+// at once, and each compile must hold the serial compile's trace. Under
+// -race this catches a generator that keeps mutable state in a kernel
+// closure instead of in the Builder.
 func TestConcurrentEmitMatchesCompiled(t *testing.T) {
-	const goroutines, blocks, warpSize = 4, 2, 32
+	const goroutines, warpSize = 4, 32
 	p := fidelityParams()
 	for _, name := range All() {
 		w, err := Build(name, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c, err := trace.Compile(w, warpSize)
+		serial, err := trace.Compile(w, warpSize)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		compiled := c.Kernels()
+		want := traceDigest(serial)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for ki, k := range w.Kernels {
-					ck := &compiled[ki]
-					for b := 0; b < min(blocks, k.Blocks); b++ {
-						for wp := 0; wp < ck.WarpsPerBlock(); wp++ {
-							if i := firstDifference(k.Stream(b, wp), ck.Stream(b, wp)); i >= 0 {
-								t.Errorf("%s kernel %d (%s) block %d warp %d: live emission differs from the compiled trace at access %d",
-									name, ki, k.Name, b, wp, i)
-								return
-							}
-						}
-					}
+				c, err := trace.Compile(w, warpSize)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				if got := traceDigest(c); got != want {
+					t.Errorf("%s: concurrent compile digest %s, serial %s", name, got, want)
 				}
 			}()
 		}
 		wg.Wait()
-	}
-}
-
-// firstDifference returns the index of the first access at which the two
-// streams differ, or -1 when they replay identically.
-func firstDifference(a, b trace.WarpStream) int {
-	for i := 0; ; i++ {
-		x, okA := a.Next()
-		y, okB := b.Next()
-		if okA != okB {
-			return i
-		}
-		if !okA {
-			return -1
-		}
-		if x.ComputeCycles != y.ComputeCycles || x.Store != y.Store || len(x.Addrs) != len(y.Addrs) {
-			return i
-		}
-		for j := range x.Addrs {
-			if x.Addrs[j] != y.Addrs[j] {
-				return i
-			}
-		}
 	}
 }
 
@@ -191,17 +157,14 @@ func TestIrregularSharesPagesAcrossBlocks(t *testing.T) {
 	// blocks; regular workloads keep block working sets disjoint.
 	p := smallParams()
 	p.Vertices = 4096
-	w, err := Build("BFS-TTC", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compiled(t, "BFS-TTC", p)
 	// Pick the busiest kernel (level with most work).
-	k := w.Kernels[1]
+	k := &c.Kernels()[1]
 	if k.Blocks < 2 {
 		t.Skip("kernel has a single block")
 	}
-	a := trace.PagesTouched(k, 0, 32, p.PageBytes)
-	b := trace.PagesTouched(k, 1, 32, p.PageBytes)
+	a := trace.PagesTouched(k, 0, p.PageBytes)
+	b := trace.PagesTouched(k, 1, p.PageBytes)
 	shared := 0
 	for pg := range a {
 		if _, ok := b[pg]; ok {
@@ -216,13 +179,9 @@ func TestIrregularSharesPagesAcrossBlocks(t *testing.T) {
 func TestRegularBlocksMostlyDisjoint(t *testing.T) {
 	p := smallParams()
 	for _, name := range Regular {
-		w, err := Build(name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := w.Kernels[0]
-		a := trace.PagesTouched(k, 0, 32, p.PageBytes)
-		b := trace.PagesTouched(k, 10, 32, p.PageBytes)
+		k := &compiled(t, name, p).Kernels()[0]
+		a := trace.PagesTouched(k, 0, p.PageBytes)
+		b := trace.PagesTouched(k, 10, p.PageBytes)
 		shared := 0
 		for pg := range a {
 			if _, ok := b[pg]; ok {
@@ -243,26 +202,8 @@ func TestBFSVariantsDifferInTraffic(t *testing.T) {
 	p.Vertices = 1024
 	counts := map[string]int{}
 	for _, name := range []string{"BFS-TTC", "BFS-TA", "BFS-TF"} {
-		w, err := Build(name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, k := range w.Kernels {
-			for blk := 0; blk < k.Blocks; blk++ {
-				for wp := 0; wp < k.WarpsPerBlock(32); wp++ {
-					st := k.Stream(blk, wp)
-					for {
-						acc, ok := st.Next()
-						if !ok {
-							break
-						}
-						total += len(acc.Addrs)
-					}
-				}
-			}
-		}
-		counts[name] = total
+		lanes, _ := drainTraffic(compiled(t, name, p))
+		counts[name] = lanes
 	}
 	if counts["BFS-TA"] <= counts["BFS-TTC"] {
 		t.Errorf("BFS-TA traffic %d <= BFS-TTC %d; atomics should add accesses",

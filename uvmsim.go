@@ -47,8 +47,9 @@ const (
 	IdealEviction      = config.IdealEviction
 )
 
-// Workload is a benchmark: an address-space layout plus kernel launches.
-type Workload = trace.Workload
+// Workload is a benchmark compiled for replay: an address-space layout
+// plus its kernel launches, every warp's accesses captured once.
+type Workload = trace.Compiled
 
 // WorkloadParams sizes the generated benchmarks.
 type WorkloadParams = workload.Params
@@ -83,9 +84,10 @@ func ExtensionWorkloads() []string { return append([]string(nil), workload.Exten
 // AllWorkloads lists every buildable workload.
 func AllWorkloads() []string { return workload.All() }
 
-// BuildWorkload constructs a named workload.
+// BuildWorkload constructs a named workload and compiles it at the
+// default configuration's warp size, the only one Simulate accepts.
 func BuildWorkload(name string, p WorkloadParams) (*Workload, error) {
-	return workload.Build(name, p)
+	return workload.BuildCompiled(name, p, config.Default().GPU.WarpSize)
 }
 
 // Simulate runs the workload to completion under cfg and returns the
