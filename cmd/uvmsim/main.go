@@ -9,8 +9,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -94,69 +96,112 @@ func main() {
 		os.Exit(1)
 	}
 
-	var stats *metrics.Stats
-	if *execTrace != "" {
-		var tr *telemetry.Tracer
+	if code := simulate(os.Stdout, os.Stderr, cfg, w, *execTrace, *jsonOut, *timeline); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// exitCapped is uvmsim's exit status for a run stopped at the cycle cap:
+// it printed a report, but every figure in it is a lower bound.
+const exitCapped = 3
+
+// simulate runs w under cfg, writes the Chrome trace to execTrace when it
+// is set, prints the report and returns the exit status. A run stopped at
+// the cycle cap still writes its trace and reports its partial statistics,
+// marked as a lower bound, after printing the cap error to stderr, and
+// returns exitCapped; any other failure prints the error and returns 1.
+func simulate(stdout, stderr io.Writer, cfg config.Config, w *trace.Compiled, execTrace string, jsonOut, timeline bool) int {
+	var (
+		stats *metrics.Stats
+		tr    *telemetry.Tracer
+		err   error
+	)
+	if execTrace != "" {
 		stats, tr, err = core.RunTraced(cfg, w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, ferr := os.Create(*execTrace)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, ferr)
-			os.Exit(1)
-		}
-		if werr := tr.WriteJSON(f); werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
-		}
-		if cerr := f.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote execution trace %s (%d events)\n", *execTrace, tr.Len())
 	} else {
 		stats, err = core.Run(cfg, w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
+	var capErr error
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		if stats == nil || !errors.Is(err, core.ErrCycleLimit) {
+			return 1
+		}
+		capErr = err
+	}
+	if execTrace != "" {
+		if err := writeExecTrace(execTrace, tr); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "wrote execution trace %s (%d events)\n", execTrace, tr.Len())
+	}
+	if err := report(stdout, cfg, w, stats, capErr, jsonOut, timeline); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if capErr != nil {
+		return exitCapped
+	}
+	return 0
+}
 
-	if *jsonOut {
-		out := struct {
+// writeExecTrace writes tr to path as Chrome trace-event JSON.
+func writeExecTrace(path string, tr *telemetry.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// report prints stats as the text summary or, with jsonOut, as JSON. A
+// non-nil capErr marks them as the lower bound of a capped run: a text
+// line, or "capped" and "cap_error" in the JSON, neither of which an
+// uncapped run prints.
+func report(out io.Writer, cfg config.Config, w *trace.Compiled, stats *metrics.Stats, capErr error, jsonOut, timeline bool) error {
+	pol := cfg.Policy
+	if jsonOut {
+		res := struct {
 			Workload  string                `json:"workload"`
 			Policy    string                `json:"policy"`
 			Ratio     float64               `json:"oversubscription_ratio"`
 			Footprint int                   `json:"footprint_pages"`
+			Capped    bool                  `json:"capped,omitempty"`
+			CapError  string                `json:"cap_error,omitempty"`
 			Summary   metrics.Summary       `json:"summary"`
 			Batches   []metrics.BatchRecord `json:"batches"`
 		}{
 			Workload:  w.Name,
 			Policy:    pol.String(),
-			Ratio:     *ratio,
+			Ratio:     cfg.UVM.OversubscriptionRatio,
 			Footprint: w.FootprintPages(),
 			Summary:   stats.Summary(),
 			Batches:   stats.BatchRecords(),
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if capErr != nil {
+			res.Capped, res.CapError = true, capErr.Error()
 		}
-		return
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
 	}
 
 	ghz := cfg.GPU.ClockGHz
 	us := func(cycles float64) float64 { return cycles / (1000 * ghz) }
-	fmt.Printf("workload            %s (%d pages, %.1f MB footprint)\n",
+	fmt.Fprintf(out, "workload            %s (%d pages, %.1f MB footprint)\n",
 		w.Name, w.FootprintPages(), float64(w.FootprintBytes())/(1<<20))
-	fmt.Printf("policy              %v, ratio %.2f, fault handling %.0fus\n", pol, *ratio, *handling)
-	fmt.Printf("execution           %d cycles (%.3f ms)\n", stats.Cycles, us(float64(stats.Cycles))/1000)
-	fmt.Printf("warp instructions   %d\n", stats.Instrs)
-	fmt.Printf("page faults raised  %d\n", stats.FaultsRaised)
+	fmt.Fprintf(out, "policy              %v, ratio %.2f, fault handling %.0fus\n", pol, cfg.UVM.OversubscriptionRatio, cfg.UVM.FaultHandlingUS)
+	if capErr != nil {
+		fmt.Fprintf(out, "capped              at %d cycles: every figure below is a lower bound\n", stats.Cycles)
+	}
+	fmt.Fprintf(out, "execution           %d cycles (%.3f ms)\n", stats.Cycles, us(float64(stats.Cycles))/1000)
+	fmt.Fprintf(out, "warp instructions   %d\n", stats.Instrs)
+	fmt.Fprintf(out, "page faults raised  %d\n", stats.FaultsRaised)
 	var faultSum int
 	for _, b := range stats.Batches {
 		faultSum += b.Faults
@@ -165,25 +210,25 @@ func main() {
 	if stats.NumBatches() > 0 {
 		meanFaults = float64(faultSum) / float64(stats.NumBatches())
 	}
-	fmt.Printf("batches             %d (mean %.1f pages, %.1f faults)\n",
+	fmt.Fprintf(out, "batches             %d (mean %.1f pages, %.1f faults)\n",
 		stats.NumBatches(), stats.MeanBatchPages(), meanFaults)
-	fmt.Printf("batch processing    mean %.1fus, median %.1fus\n",
+	fmt.Fprintf(out, "batch processing    mean %.1fus, median %.1fus\n",
 		us(stats.MeanBatchProcessingTime()), us(stats.MedianBatchProcessingTime()))
-	fmt.Printf("migrations          %d (%d prefetched)\n", stats.Migrations, stats.Prefetches)
-	fmt.Printf("evictions           %d (%.1f%% premature)\n", stats.Evictions, stats.PrematureEvictionRate()*100)
-	fmt.Printf("context switches    %d (%d cycles)\n", stats.ContextSwitches, stats.ContextSwitchCycles)
-	if *timeline {
-		fmt.Println()
-		if err := metrics.RenderTimeline(os.Stdout, stats.Batches, 100); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	fmt.Fprintf(out, "migrations          %d (%d prefetched)\n", stats.Migrations, stats.Prefetches)
+	fmt.Fprintf(out, "evictions           %d (%.1f%% premature)\n", stats.Evictions, stats.PrematureEvictionRate()*100)
+	fmt.Fprintf(out, "context switches    %d (%d cycles)\n", stats.ContextSwitches, stats.ContextSwitchCycles)
+	if timeline {
+		fmt.Fprintln(out)
+		if err := metrics.RenderTimeline(out, stats.Batches, 100); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	fmt.Printf("L1 TLB              %d hits / %d misses\n", stats.TLBL1Hits, stats.TLBL1Miss)
-	fmt.Printf("L2 TLB              %d hits / %d misses\n", stats.TLBL2Hits, stats.TLBL2Miss)
-	fmt.Printf("L1 cache            %d hits / %d misses\n", stats.CacheL1Hit, stats.CacheL1Mis)
-	fmt.Printf("L2 cache            %d hits / %d misses\n", stats.CacheL2Hit, stats.CacheL2Mis)
+	fmt.Fprintf(out, "L1 TLB              %d hits / %d misses\n", stats.TLBL1Hits, stats.TLBL1Miss)
+	fmt.Fprintf(out, "L2 TLB              %d hits / %d misses\n", stats.TLBL2Hits, stats.TLBL2Miss)
+	fmt.Fprintf(out, "L1 cache            %d hits / %d misses\n", stats.CacheL1Hit, stats.CacheL1Mis)
+	fmt.Fprintf(out, "L2 cache            %d hits / %d misses\n", stats.CacheL2Hit, stats.CacheL2Mis)
+	return nil
 }
 
 // readTrace loads a trace file (a UVMCMP1 artifact from -traceout or an

@@ -114,9 +114,10 @@ func TestEngineRunUntil(t *testing.T) {
 // TestEngineExactOrderVsSortedReference pins the dispatch sequence — not
 // just monotonicity — against a stable sort by (when, scheduling order),
 // under interleaved scheduling and stepping. This is the invariant the
-// 4-ary value heap must preserve for experiment output to stay
-// byte-identical: any heap over the strict (when, seq) order dispatches
-// exactly this sequence.
+// queue must preserve for experiment output to stay byte-identical: any
+// queue that pops the strict (when, seq) minimum dispatches exactly this
+// sequence. Its delays stay inside the ring; TestEngineOrderOracle covers
+// the far heap, the ring's edges and cross-domain keys.
 func TestEngineExactOrderVsSortedReference(t *testing.T) {
 	rng := NewRand(7)
 	for trial := 0; trial < 50; trial++ {
@@ -246,4 +247,31 @@ func TestEngineRunUntilExactlyAtLimit(t *testing.T) {
 	if len(hits) != 2 || hits[1] != 101 {
 		t.Fatalf("events after second RunUntil = %v, want [100 101]", hits)
 	}
+}
+
+// TestEngineMisusePanics: SetRank once any event is queued, in the ring
+// or in the far heap, or has been dispatched; a keyed schedule in the
+// past; and a source's sequence overflow.
+func TestEngineMisusePanics(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	ring := NewEngine()
+	ring.Schedule(255, func() {})
+	panics("SetRank with a ring event queued", func() { ring.SetRank(1) })
+	far := NewEngine()
+	far.Schedule(256, func() {})
+	panics("SetRank with a far event queued", func() { far.SetRank(1) })
+	far.Run()
+	panics("SetRank after a dispatch", func() { far.SetRank(1) })
+	panics("keyed schedule in the past", func() { far.scheduleKeyed(255, 1<<rankShift|1, func() {}, nil, 0) })
+	full := NewEngine()
+	full.seq = maxSeq
+	panics("sequence overflow", func() { full.After(1, func() {}) })
 }
