@@ -123,11 +123,12 @@ type GPU struct {
 	DRAMBytesPerCycle uint64
 
 	// SMsPerDomain groups SMs into the event domains of sim.System: each
-	// domain (the SMs plus their private L1 caches and TLBs) runs on its
-	// own event queue, with the shared spine (L2, page walker, UVM
-	// runtime, PCIe) as the hub domain. 0 or negative puts every SM in one
-	// domain. The grouping is part of the model: a domain's index ranks
-	// its events among same-cycle ties, so changing it can change results.
+	// domain (the SMs plus their private L1 caches and TLBs) schedules
+	// through its own engine on the system's one event queue, with the
+	// shared spine (L2, page walker, UVM runtime, PCIe) as the hub domain.
+	// 0 or negative puts every SM in one domain. The grouping is part of
+	// the model: a domain's index ranks its events among same-cycle ties,
+	// so changing it can change results.
 	SMsPerDomain int
 }
 
@@ -303,7 +304,7 @@ func (c *Config) PageTransferCycles() uint64 {
 	return uint64(ns * c.GPU.ClockGHz)
 }
 
-// DomainCount returns the number of SM synchronization domains the GPU is
+// DomainCount returns the number of SM event domains the GPU is
 // partitioned into: ceil(NumSMs / SMsPerDomain), with SMsPerDomain <= 0
 // meaning one domain. The hub (L2, walker, UVM runtime) is a separate
 // domain on top of these.
@@ -315,9 +316,9 @@ func (c *Config) DomainCount() int {
 	return (c.GPU.NumSMs + spd - 1) / spd
 }
 
-// HopCycles returns the request-leg latency of a cross-domain message: an
-// SM-domain-to-hub hop models the near half of an L2 access, so the L2 hit
-// total (request hop + answer leg) equals the configured L2Latency.
+// HopCycles returns the request-leg latency of a shard-to-hub message: the
+// hop models the near half of an L2 access, so the L2 hit total (request
+// hop + answer leg) equals the configured L2Latency.
 func (c *Config) HopCycles() uint64 {
 	h := c.GPU.L2Latency / 2
 	if h < 1 {
@@ -326,9 +327,10 @@ func (c *Config) HopCycles() uint64 {
 	return h
 }
 
-// Lookahead returns the window width of sim.System: the minimum latency
-// of any cross-domain edge, which is the shorter of the request hop and
-// the shortest answer leg.
+// Lookahead returns the shortest shard<->hub latency: the shorter of the
+// request hop and the shortest answer leg. Every shard<->hub message that
+// is not an L2 access (faults, wakes, launches, shootdowns, block
+// completions, throttling) takes this long, and no answer leg is shorter.
 func (c *Config) Lookahead() uint64 {
 	req := c.HopCycles()
 	ans := c.GPU.L2Latency - req

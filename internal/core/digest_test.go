@@ -124,7 +124,7 @@ func TestSimulationDigests(t *testing.T) {
 
 // TestDispatchedEventCount pins the event count of a real faulting
 // workload on four shard domains: the explicit-key total order fixes every
-// dispatched event, wherever the windows fall.
+// dispatched event.
 func TestDispatchedEventCount(t *testing.T) {
 	cfg := testConfig(config.Baseline)
 	cfg.GPU.SMsPerDomain = 1 // 4 shard domains on the 4-SM test config

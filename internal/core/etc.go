@@ -28,9 +28,9 @@ type etcController struct {
 	rt      *Runtime
 
 	// faults supplies the cumulative fault count the detection epochs
-	// difference. It defaults to the cluster's hub-side fault counter
-	// (Stats.FaultsRaised is sharded across domains until the end-of-run
-	// merge); tests substitute their own source.
+	// difference. It defaults to the cluster's hub-side fault counter,
+	// which sees each fault one hop after the shard raised it; tests
+	// substitute their own source.
 	faults func() uint64
 
 	throttled  bool

@@ -10,13 +10,12 @@ import (
 	"uvmsim/internal/vm"
 )
 
-// etcRig assembles an ETC controller over a real cluster (no workload).
-// The returned engine is the hub domain's; tests running it to completion
-// should use sys.Run (etcSys) so cross-domain messages are delivered.
+// etcRig assembles an ETC controller over a real cluster (no workload),
+// with the controller and the runtime on the hub domain's engine.
 func etcRig() (*etcController, *gpu.Cluster, *sim.System, *metrics.Stats) {
 	cfg := config.Default()
 	cfg.Policy = config.ETC
-	sys := sim.NewSystem(cfg.DomainCount()+1, cfg.Lookahead())
+	sys := sim.NewSystem(cfg.DomainCount() + 1)
 	eng := sys.Engine(cfg.DomainCount())
 	stats := &metrics.Stats{}
 	pt := vm.NewPageTable()

@@ -17,7 +17,7 @@ import (
 // hardware, and UVM runtime — and replays a compiled workload's kernels to
 // completion.
 type Machine struct {
-	Sys     *sim.System // multi-domain event system (SM shards + hub)
+	Sys     *sim.System // the SM shards' and the hub's event domains, on one queue
 	Eng     *sim.Engine // hub domain engine: runtime, walker, L2, controllers
 	Cfg     config.Config
 	Stats   *metrics.Stats
@@ -57,7 +57,7 @@ func NewMachine(cfg config.Config, w *trace.Compiled) (*Machine, error) {
 		return nil, fmt.Errorf("core: workload %q was compiled at warp size %d; the simulated GPU uses warp size %d",
 			w.Name, w.WarpSize, cfg.GPU.WarpSize)
 	}
-	sys := sim.NewSystem(cfg.DomainCount()+1, cfg.Lookahead())
+	sys := sim.NewSystem(cfg.DomainCount() + 1)
 	m := &Machine{
 		Sys:      sys,
 		Eng:      sys.Engine(cfg.DomainCount()), // hub is the last domain
@@ -108,8 +108,8 @@ func (m *Machine) AttachTracer(tr *telemetry.Tracer) {
 	m.tr = tr
 	m.RT.SetTracer(tr)
 	m.Cluster.RegisterTelemetry(tr)
-	// Sampled on the hub, this count (like the shard-summed GPU
-	// counters) includes shard events up to the end of the current window.
+	// Every domain shares the one queue, so this count, like the GPU
+	// counters, reads its value at the sample's cycle.
 	tr.RegisterCounter("sim.events_dispatched", func() float64 { return float64(m.Sys.Dispatched()) })
 	tr.RegisterCounter("mem.resident_pages", func() float64 { return float64(m.RT.Allocator().Len()) })
 	tr.RegisterCounter("uvm.pending_faults", func() float64 { return float64(m.RT.PendingFaults()) })
@@ -150,13 +150,11 @@ func (m *Machine) Run() (*metrics.Stats, error) {
 				m.workload.Name, m.Sys.Now(), m.Cluster.WaitingWarps(), m.RT.PendingFaults(), m.RT.BatchActive())
 		}
 		m.Stats.Cycles = limit
-		m.Cluster.FlushStats()
 		return m.Stats, fmt.Errorf("core: %s exceeded %d cycles (%s): %w",
 			m.workload.Name, limit, m.progress(), ErrCycleLimit)
 	}
 	// Drain trailing events (in-flight evictions, controller shutdown).
 	m.Sys.RunUntil(limit)
-	m.Cluster.FlushStats()
 	return m.Stats, nil
 }
 

@@ -23,6 +23,6 @@ func BenchmarkClusterResidentKernel(b *testing.B) {
 		mapAll(r, k)
 		b.StartTimer()
 		c.Launch(k, func() {})
-		r.run()
+		r.sys.Run()
 	}
 }

@@ -7,13 +7,14 @@
 //
 // The cluster is partitioned into the event domains of sim.System: each
 // shard — a group of SMs with their private warps, L1 caches, and L1
-// TLBs — owns one domain, and the shared spine (L2 TLB, L2 cache, page
-// walker, DRAM channel, UVM runtime) lives in the hub domain. All
-// shard<->hub interaction flows through sim.System sends with at least the
-// lookahead's worth of latency: the request leg of an L2 access is the
+// TLBs — is one domain, and the shared spine (L2 TLB, L2 cache, page
+// walker, DRAM channel, UVM runtime) is the hub domain. A domain schedules
+// its events on its own engine, whose rank breaks same-cycle ties on the
+// system's one queue; a message to another domain is an event the sender
+// schedules one hop or more ahead: the request leg of an L2 access is the
 // shard->hub hop, and the rest of the nominal latency is charged hub-side.
 // The partitioning is fixed by config.GPU.SMsPerDomain and is part of the
-// model: a domain's index ranks its events among same-cycle ties.
+// model: the hop latencies and the tie ranks both follow from it.
 package gpu
 
 import (
@@ -53,17 +54,12 @@ type SM struct {
 }
 
 // shard is one SM event domain: a slice of the GPU's SMs plus everything
-// those SMs touch on the per-access hot path. All shard state is mutated
-// only by events on the shard's own engine, so the order in which
-// sim.System runs the domains of one window cannot change it.
+// those SMs touch on the per-access hot path. Events that run shard-side
+// schedule on the shard's engine.
 type shard struct {
 	c   *Cluster
 	dom int
 	eng *sim.Engine
-
-	// stats holds the shard's share of the run counters; Cluster.FlushStats
-	// merges it into the caller's Stats once the system has quiesced.
-	stats metrics.Stats
 
 	sms     []*SM
 	waiters map[uint64][]*Warp // faulted page -> warps stalled on it
@@ -81,7 +77,7 @@ type shard struct {
 	oversubDegree     int
 	traditionalSwitch bool
 
-	// Prebound cross-domain callbacks (one closure each, built at
+	// Prebound message callbacks (one closure each, built at
 	// construction, so messaging never allocates).
 	launchFn      func()       // shard-side: start the hub's current kernel
 	pageArrivedFn func(uint64) // shard-side: wake waiters on a page
@@ -103,9 +99,7 @@ type shard struct {
 // exported methods are hub-side: they must be called from hub-domain
 // events (or while the system is quiescent, e.g. before Run or in tests).
 type Cluster struct {
-	sys *sim.System
 	eng *sim.Engine // hub engine
-	hub int         // hub domain index == len(shards)
 
 	cfg   *config.Config
 	stats *metrics.Stats
@@ -115,6 +109,7 @@ type Cluster struct {
 	l2tlb   *vm.TLB
 	l2cache *Cache
 	shards  []*shard
+	sms     []*SM // every shard's SMs, by id
 	sink    FaultSink
 
 	// tr is the execution tracer; nil disables tracing (nil-check no-ops).
@@ -122,7 +117,7 @@ type Cluster struct {
 
 	hop uint64 // request-leg hop latency shard->hub
 	ans uint64 // answer-leg latency of an L2 TLB hit (L2Latency - hop)
-	la  uint64 // system lookahead (minimum cross-domain latency)
+	la  uint64 // shortest shard<->hub latency (config.Lookahead)
 
 	// Per-kernel state (hub side: grid-completion accounting).
 	kernel       *trace.CompiledKernel
@@ -130,8 +125,8 @@ type Cluster struct {
 	onKernelDone func()
 
 	// oversubDegree and enabledSM mirror the shard-side state the hub last
-	// requested, so synchronous readers (controllers, tests) see the
-	// commanded value without a cross-domain read.
+	// commanded; shards apply a command one hop later, so controllers read
+	// the commanded value here, not the shards' current one.
 	oversubDegree int
 	enabledSM     []bool
 
@@ -147,9 +142,9 @@ type Cluster struct {
 	// shards report via dirty messages).
 	dirty map[uint64]struct{}
 
-	// faultsSeen counts fault messages arriving at the hub — the hub-side
-	// view of Stats.FaultsRaised, available mid-run to the ETC controller
-	// while the per-shard counters are still unmerged.
+	// faultsSeen counts fault messages arriving at the hub: the hub-side
+	// view of Stats.FaultsRaised, one hop behind it, that the ETC
+	// controller reads.
 	faultsSeen uint64
 
 	// faultFrom maps each in-flight faulting page to the bitmask of shard
@@ -167,29 +162,22 @@ type Cluster struct {
 }
 
 // New assembles a cluster over the given system. The system must have
-// cfg.DomainCount()+1 domains (the shards plus the hub) and a lookahead no
-// larger than cfg.Lookahead(). sink may be nil for workloads guaranteed
-// not to fault (tests, unlimited-memory runs) — a fault with a nil sink
-// panics.
+// cfg.DomainCount()+1 domains (the shards plus the hub, last). sink may be
+// nil for workloads guaranteed not to fault (tests, unlimited-memory
+// runs) — a fault with a nil sink panics.
 func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageTable, sink FaultSink) *Cluster {
 	g := &cfg.GPU
 	nd := cfg.DomainCount()
 	if sys.Domains() != nd+1 {
 		panic(fmt.Sprintf("gpu: system has %d domains, config wants %d shards + hub", sys.Domains(), nd))
 	}
-	if sys.Lookahead() > cfg.Lookahead() {
-		panic(fmt.Sprintf("gpu: system lookahead %d exceeds config minimum %d", sys.Lookahead(), cfg.Lookahead()))
-	}
 	// The cluster's messaging is a strict star: shards talk only to the
 	// hub (faults, dirty notices, runahead, block completion) and the hub
 	// only to shards (launches, page arrivals, invalidations, translation
 	// answers).
-	hub := nd
-	eng := sys.Engine(hub)
+	eng := sys.Engine(nd)
 	c := &Cluster{
-		sys:     sys,
 		eng:     eng,
-		hub:     hub,
 		cfg:     cfg,
 		stats:   stats,
 		pt:      pt,
@@ -198,7 +186,7 @@ func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageT
 		l2cache: NewCache(g.L2Bytes, g.L2Ways, g.LineBytes),
 		sink:    sink,
 		hop:     cfg.HopCycles(),
-		la:      sys.Lookahead(),
+		la:      cfg.Lookahead(),
 	}
 	c.ans = g.L2Latency - c.hop
 	if c.ans < c.la {
@@ -242,6 +230,7 @@ func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageT
 			enabled: true,
 		}
 		s.sms = append(s.sms, sm)
+		c.sms = append(c.sms, sm)
 		c.enabledSM[i] = true
 	}
 	return c
@@ -249,57 +238,25 @@ func New(sys *sim.System, cfg *config.Config, stats *metrics.Stats, pt *vm.PageT
 
 // RegisterTelemetry attaches a tracer: context-switch spans are emitted
 // from then on, and the translation/cache counters join the tracer's
-// sampled registry. No-op with a nil tracer. The hub, the last domain
-// in each window, takes every sample, so the shard-summed counters
-// (gpu.tlb_l1_*, gpu.cache_l1_*, gpu.context_switches) include shard
-// events up to the end of the current window (DESIGN.md §14): their
-// sampled values depend on where the windows fall; the statistics do
-// not.
+// sampled registry. No-op with a nil tracer. Shards and hub count into
+// the one Stats, so every counter reads its value at the sample's cycle.
 func (c *Cluster) RegisterTelemetry(tr *telemetry.Tracer) {
 	c.tr = tr
-	shardSum := func(f func(*metrics.Stats) uint64) func() float64 {
-		return func() float64 {
-			var t uint64
-			for _, s := range c.shards {
-				t += f(&s.stats)
-			}
-			return float64(t + f(c.stats))
-		}
-	}
-	tr.RegisterCounter("gpu.tlb_l1_hits", shardSum(func(s *metrics.Stats) uint64 { return s.TLBL1Hits }))
-	tr.RegisterCounter("gpu.tlb_l1_misses", shardSum(func(s *metrics.Stats) uint64 { return s.TLBL1Miss }))
+	tr.RegisterCounter("gpu.tlb_l1_hits", func() float64 { return float64(c.stats.TLBL1Hits) })
+	tr.RegisterCounter("gpu.tlb_l1_misses", func() float64 { return float64(c.stats.TLBL1Miss) })
 	tr.RegisterCounter("gpu.tlb_l2_hits", func() float64 { return float64(c.stats.TLBL2Hits) })
 	tr.RegisterCounter("gpu.tlb_l2_misses", func() float64 { return float64(c.stats.TLBL2Miss) })
-	tr.RegisterCounter("gpu.cache_l1_hits", shardSum(func(s *metrics.Stats) uint64 { return s.CacheL1Hit }))
-	tr.RegisterCounter("gpu.cache_l1_misses", shardSum(func(s *metrics.Stats) uint64 { return s.CacheL1Mis }))
+	tr.RegisterCounter("gpu.cache_l1_hits", func() float64 { return float64(c.stats.CacheL1Hit) })
+	tr.RegisterCounter("gpu.cache_l1_misses", func() float64 { return float64(c.stats.CacheL1Mis) })
 	tr.RegisterCounter("gpu.cache_l2_hits", func() float64 { return float64(c.stats.CacheL2Hit) })
 	tr.RegisterCounter("gpu.cache_l2_misses", func() float64 { return float64(c.stats.CacheL2Mis) })
-	tr.RegisterCounter("gpu.context_switches", shardSum(func(s *metrics.Stats) uint64 { return s.ContextSwitches }))
+	tr.RegisterCounter("gpu.context_switches", func() float64 { return float64(c.stats.ContextSwitches) })
 	c.walker.RegisterTelemetry(tr)
 }
 
-// FlushStats merges the per-shard counters into the Stats the cluster was
-// built with. Call once the system has quiesced (after the run, on every
-// exit path that reports statistics); shard counters are drained, so a
-// second call is a no-op.
-func (c *Cluster) FlushStats() {
-	for _, sh := range c.shards {
-		s := &sh.stats
-		c.stats.Instrs += s.Instrs
-		c.stats.FaultsRaised += s.FaultsRaised
-		c.stats.ContextSwitches += s.ContextSwitches
-		c.stats.ContextSwitchCycles += s.ContextSwitchCycles
-		c.stats.TLBL1Hits += s.TLBL1Hits
-		c.stats.TLBL1Miss += s.TLBL1Miss
-		c.stats.CacheL1Hit += s.CacheL1Hit
-		c.stats.CacheL1Mis += s.CacheL1Mis
-		*s = metrics.Stats{}
-	}
-}
-
-// FaultsSeen returns the number of fault messages the hub has received —
-// the mid-run equivalent of Stats.FaultsRaised (which is sharded until
-// FlushStats).
+// FaultsSeen returns the number of fault messages the hub has received:
+// Stats.FaultsRaised as the hub sees it, one hop behind the shards that
+// raise the faults.
 func (c *Cluster) FaultsSeen() uint64 { return c.faultsSeen }
 
 // SetOversubscription sets the number of extra (inactive) thread blocks
@@ -311,7 +268,7 @@ func (c *Cluster) SetOversubscription(degree int) {
 	}
 	c.oversubDegree = degree
 	for _, s := range c.shards {
-		c.sys.SendArg(c.hub, s.dom, c.eng.Now()+c.la, s.oversubFn, uint64(degree))
+		c.eng.ScheduleArg(c.eng.Now()+c.la, s.oversubFn, uint64(degree))
 	}
 }
 
@@ -332,7 +289,7 @@ func (c *Cluster) SetTraditionalSwitching(on bool) {
 func (c *Cluster) SetExtraMemCycles(n uint64) { c.extraMemCycles = n }
 
 // NumSMs returns the SM count.
-func (c *Cluster) NumSMs() int { return len(c.enabledSM) }
+func (c *Cluster) NumSMs() int { return len(c.sms) }
 
 // SchedulableBlocks computes how many blocks of kernel k one SM can host
 // actively, applying the thread, register, and block-slot constraints from
@@ -389,7 +346,7 @@ func (c *Cluster) Launch(k *trace.CompiledKernel, onDone func()) {
 	}
 	now := c.eng.Now()
 	for _, s := range c.shards {
-		c.sys.Send(c.hub, s.dom, now+c.la, s.launchFn)
+		c.eng.Schedule(now+c.la, s.launchFn)
 	}
 }
 
@@ -506,7 +463,7 @@ func (s *shard) issueWarp(w *Warp) {
 		s.warpDone(w)
 		return
 	}
-	s.stats.Instrs++
+	s.c.stats.Instrs++
 	w.state = WarpBusy
 	delay := acc.ComputeCycles
 	if delay == 0 {
@@ -621,8 +578,8 @@ func (s *shard) memoryResolved(op *memOp) {
 				ws = s.getWaiters()
 			}
 			s.waiters[p] = append(ws, w)
-			s.stats.FaultsRaised++
-			s.c.sys.SendArg(s.dom, s.c.hub, now+s.c.la, s.faultFn, p)
+			s.c.stats.FaultsRaised++
+			s.eng.ScheduleArg(now+s.c.la, s.faultFn, p)
 		}
 		s.runahead(w)
 		s.putOp(op)
@@ -635,7 +592,7 @@ func (s *shard) memoryResolved(op *memOp) {
 			page := a / s.c.cfg.UVM.PageBytes
 			if _, ok := s.dirtyLocal[page]; !ok {
 				s.dirtyLocal[page] = struct{}{}
-				s.c.sys.SendArg(s.dom, s.c.hub, now+s.c.la, s.c.dirtyFn, page)
+				s.eng.ScheduleArg(now+s.c.la, s.c.dirtyFn, page)
 			}
 		}
 	}
@@ -645,9 +602,9 @@ func (s *shard) memoryResolved(op *memOp) {
 	miss := s.getKeys()
 	for _, line := range op.lines {
 		if sm.l1cache.Access(line) {
-			s.stats.CacheL1Hit++
+			s.c.stats.CacheL1Hit++
 		} else {
-			s.stats.CacheL1Mis++
+			s.c.stats.CacheL1Mis++
 			miss = append(miss, line)
 		}
 	}
@@ -665,7 +622,7 @@ func (s *shard) memoryResolved(op *memOp) {
 		return
 	}
 	op.miss = miss
-	s.c.sys.Send(s.dom, s.c.hub, s.eng.Now()+s.c.hop, op.hubFn)
+	s.eng.Schedule(s.eng.Now()+s.c.hop, op.hubFn)
 }
 
 // hubData prices a memory instruction's L1-miss lines against the L2 cache
@@ -695,7 +652,7 @@ func (op *memOp) hubData() {
 	if delay < c.la {
 		delay = c.la
 	}
-	c.sys.Send(c.hub, op.s.dom, c.eng.Now()+delay, op.ansFn)
+	c.eng.Schedule(c.eng.Now()+delay, op.ansFn)
 }
 
 // dataAnswer lands the hub's pricing back on the shard and resumes the
@@ -730,7 +687,7 @@ func (s *shard) runahead(w *Warp) {
 		}
 		scratch = uniqueKeysInto(scratch[:0], acc.Addrs, pageBytes)
 		for _, p := range scratch {
-			s.c.sys.SendArg(s.dom, s.c.hub, now+s.c.la, s.c.runaheadFn, p)
+			s.eng.ScheduleArg(now+s.c.la, s.c.runaheadFn, p)
 		}
 	}
 	s.putKeys(scratch)
@@ -753,7 +710,7 @@ func (c *Cluster) runaheadFault(page uint64) {
 func (c *Cluster) faultFrom(s *shard, page uint64) {
 	c.faultsSeen++
 	if c.pt.Resident(page) {
-		c.sys.SendArg(c.hub, s.dom, c.eng.Now()+c.la, s.pageArrivedFn, page)
+		c.eng.ScheduleArg(c.eng.Now()+c.la, s.pageArrivedFn, page)
 		return
 	}
 	if c.faulters != nil {
@@ -766,7 +723,7 @@ func (c *Cluster) faultFrom(s *shard, page uint64) {
 // L1 TLB: a request hop to the hub's L2 TLB, possibly a page walk, and an
 // answer hop back. Requests are pooled on the shard; the callbacks are
 // bound once at construction so re-scheduling never allocates. Ownership
-// alternates shard -> hub -> shard, handed over by each hop's send.
+// alternates shard -> hub -> shard, handed over by each hop's event.
 type xlatReq struct {
 	s        *shard
 	sm       *SM
@@ -805,7 +762,7 @@ func (r *xlatReq) l2Stage() {
 	if c.l2tlb.Lookup(r.page) {
 		c.stats.TLBL2Hits++
 		r.resident = true
-		c.sys.Send(c.hub, r.s.dom, c.eng.Now()+c.ans, r.ansFn)
+		c.eng.Schedule(c.eng.Now()+c.ans, r.ansFn)
 		return
 	}
 	c.stats.TLBL2Miss++
@@ -820,7 +777,7 @@ func (r *xlatReq) walkDone(resident bool) {
 		c.l2tlb.Insert(r.page)
 	}
 	r.resident = resident
-	c.sys.Send(c.hub, r.s.dom, c.eng.Now()+c.hop, r.ansFn)
+	c.eng.Schedule(c.eng.Now()+c.hop, r.ansFn)
 }
 
 // answer lands the translation answer on the shard.
@@ -838,14 +795,14 @@ func (r *xlatReq) answer() {
 // op.pageDone(page, resident) may be called synchronously (L1 hit).
 func (s *shard) translate(sm *SM, page uint64, op *memOp) {
 	if sm.l1tlb.Lookup(page) {
-		s.stats.TLBL1Hits++
+		s.c.stats.TLBL1Hits++
 		op.pageDone(page, true)
 		return
 	}
-	s.stats.TLBL1Miss++
+	s.c.stats.TLBL1Miss++
 	r := s.getXlat()
 	r.sm, r.page, r.op = sm, page, op
-	s.c.sys.Send(s.dom, s.c.hub, s.eng.Now()+s.c.hop, r.hubFn)
+	s.eng.Schedule(s.eng.Now()+s.c.hop, r.hubFn)
 }
 
 // issueQueueDelay charges one issue slot on sm and returns the queueing
@@ -908,14 +865,14 @@ func (c *Cluster) PageArrived(page uint64) {
 		now := c.eng.Now()
 		for _, s := range c.shards {
 			if mask&(1<<uint(s.dom)) != 0 {
-				c.sys.SendArg(c.hub, s.dom, now+c.la, s.pageArrivedFn, page)
+				c.eng.ScheduleArg(now+c.la, s.pageArrivedFn, page)
 			}
 		}
 		return
 	}
 	now := c.eng.Now()
 	for _, s := range c.shards {
-		c.sys.SendArg(c.hub, s.dom, now+c.la, s.pageArrivedFn, page)
+		c.eng.ScheduleArg(now+c.la, s.pageArrivedFn, page)
 	}
 }
 
@@ -972,7 +929,7 @@ func (c *Cluster) InvalidatePage(page uint64) {
 	c.l2cache.InvalidatePage(page, c.cfg.UVM.PageBytes, c.cfg.GPU.LineBytes)
 	now := c.eng.Now()
 	for _, s := range c.shards {
-		c.sys.SendArg(c.hub, s.dom, now+c.la, s.invalidateFn, page)
+		c.eng.ScheduleArg(now+c.la, s.invalidateFn, page)
 	}
 }
 
@@ -1020,7 +977,7 @@ func (s *shard) warpDone(w *Warp) {
 func (s *shard) blockDone(b *Block) {
 	sm := b.sm
 	removeBlock(&sm.active, b)
-	s.c.sys.SendArg(s.dom, s.c.hub, s.eng.Now()+s.c.la, s.c.blockDoneFn, 1)
+	s.eng.ScheduleArg(s.eng.Now()+s.c.la, s.c.blockDoneFn, 1)
 	// Prefer resuming a started inactive block over fetching a fresh one
 	// (a partially-run block holds pages resident and must not starve);
 	// maybeSwitch fills free slots from the inactive list first.
@@ -1057,7 +1014,7 @@ func (s *shard) activate(sm *SM, b *Block, delay uint64) {
 	if delay == 0 {
 		run()
 	} else {
-		s.stats.ContextSwitchCycles += delay
+		s.c.stats.ContextSwitchCycles += delay
 		if s.c.tr.Enabled() {
 			s.c.tr.SpanArgs(telemetry.TrackSwitches, "restore", s.eng.Now(), delay,
 				map[string]any{"sm": sm.id, "block": b.idx})
@@ -1121,8 +1078,8 @@ func (s *shard) maybeSwitch(sm *SM) {
 	// Swap: the victim stops issuing now; the incoming block starts after
 	// the save+restore delay.
 	sm.switching = true
-	s.stats.ContextSwitches++
-	s.stats.ContextSwitchCycles += s.switchCycles
+	s.c.stats.ContextSwitches++
+	s.c.stats.ContextSwitchCycles += s.switchCycles
 	if s.c.tr.Enabled() {
 		s.c.tr.SpanArgs(telemetry.TrackSwitches, "ctx switch", s.eng.Now(), s.switchCycles,
 			map[string]any{"sm": sm.id, "out_block": victim.idx, "in_block": incoming.idx})
@@ -1178,20 +1135,13 @@ func (c *Cluster) SetSMEnabled(id int, enabled bool) {
 	if enabled {
 		v |= 1
 	}
-	s := c.shardOfSM(id)
-	c.sys.SendArg(c.hub, s.dom, c.eng.Now()+c.la, s.smEnableFn, v)
-}
-
-func (c *Cluster) shardOfSM(id int) *shard {
-	per := (len(c.enabledSM) + len(c.shards) - 1) / len(c.shards)
-	return c.shards[id/per]
+	c.eng.ScheduleArg(c.eng.Now()+c.la, c.sms[id].sh.smEnableFn, v)
 }
 
 // smEnable applies a throttling change to one of the shard's SMs.
 func (s *shard) smEnable(v uint64) {
-	id := int(v >> 1)
 	enabled := v&1 == 1
-	sm := s.sms[id-s.sms[0].id]
+	sm := s.c.sms[v>>1]
 	if sm.enabled == enabled {
 		return
 	}

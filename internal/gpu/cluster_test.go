@@ -43,7 +43,7 @@ func newRig(mutate func(*config.Config)) *testRig {
 	if mutate != nil {
 		mutate(&r.cfg)
 	}
-	r.sys = sim.NewSystem(r.cfg.DomainCount()+1, r.cfg.Lookahead())
+	r.sys = sim.NewSystem(r.cfg.DomainCount() + 1)
 	r.eng = r.sys.Engine(r.cfg.DomainCount())
 	return r
 }
@@ -51,20 +51,6 @@ func newRig(mutate func(*config.Config)) *testRig {
 func (r *testRig) build(sink FaultSink) *Cluster {
 	r.c = New(r.sys, &r.cfg, &r.stats, r.pt, sink)
 	return r.c
-}
-
-// run drains the whole system and merges the shard counters into r.stats.
-func (r *testRig) run() uint64 {
-	n := r.sys.Run()
-	r.c.FlushStats()
-	return n
-}
-
-// runUntil executes up to limit; shard counters observed so far are merged
-// (FlushStats drains, so a later run() never double-counts).
-func (r *testRig) runUntil(limit uint64) {
-	r.sys.RunUntil(limit)
-	r.c.FlushStats()
 }
 
 // compileKernel compiles the one-kernel workload k at the default warp
@@ -126,7 +112,7 @@ func TestKernelCompletesWithResidentPages(t *testing.T) {
 	mapAll(r, k)
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete")
 	}
@@ -144,7 +130,7 @@ func TestZeroBlockKernelCompletes(t *testing.T) {
 	k := simpleKernel(0, 256, 16, 1, 128)
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("zero-block kernel did not complete")
 	}
@@ -157,7 +143,7 @@ func TestFaultsRaisedAndServiced(t *testing.T) {
 	k := simpleKernel(4, 256, 16, 5, 64<<10) // stride a page: every access faults
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete after fault servicing")
 	}
@@ -217,7 +203,7 @@ func TestOversubscriptionSwitchesBlocks(t *testing.T) {
 	c.Launch(k, func() { done = true })
 	// Run until the first fault service completes (50000 cycles): by then
 	// the context switch must have let block 2 raise faults too.
-	r.runUntil(49999)
+	r.sys.RunUntil(49999)
 	if r.stats.ContextSwitches == 0 {
 		t.Fatal("no context switch with an oversubscribed stalled block")
 	}
@@ -228,7 +214,7 @@ func TestOversubscriptionSwitchesBlocks(t *testing.T) {
 	if len(sink.faults) < 2 {
 		t.Fatalf("only %d faults raised before first service", len(sink.faults))
 	}
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete")
 	}
@@ -241,7 +227,7 @@ func TestNoSwitchWithoutOversubscription(t *testing.T) {
 	k := simpleKernel(2, 1024, 16, 3, 64<<10)
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete")
 	}
@@ -261,7 +247,7 @@ func TestTraditionalSwitchingDegradesPerformance(t *testing.T) {
 			c.SetOversubscription(1)
 		}
 		c.Launch(k, func() {})
-		return r.run()
+		return r.sys.Run()
 	}
 	base := run(false)
 	trad := run(true)
@@ -283,9 +269,40 @@ func TestSMThrottlingPausesAndResumes(t *testing.T) {
 	}
 	// Re-enable partway through.
 	r.eng.Schedule(2000, func() { c.SetSMEnabled(1, true) })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete after re-enabling SM")
+	}
+}
+
+// TestSMEnableReachesItsShard: on 9 SMs in shards of 4, 4 and 1, disabling
+// and re-enabling each SM changes that SM and no other.
+func TestSMEnableReachesItsShard(t *testing.T) {
+	r := newRig(func(c *config.Config) {
+		c.GPU.NumSMs = 9
+		c.GPU.SMsPerDomain = 4
+	})
+	c := r.build(nil)
+	if len(c.shards) != 3 || len(c.shards[2].sms) != 1 {
+		t.Fatalf("shards hold %d, %d, ... SMs; want 4, 4, 1", len(c.shards[0].sms), len(c.shards[1].sms))
+	}
+	check := func(off int) {
+		t.Helper()
+		for _, sh := range c.shards {
+			for _, sm := range sh.sms {
+				if sm.enabled != (sm.id != off) {
+					t.Fatalf("with SM %d disabled, SM %d enabled = %v", off, sm.id, sm.enabled)
+				}
+			}
+		}
+	}
+	for id := 0; id < 9; id++ {
+		c.SetSMEnabled(id, false)
+		r.sys.Run()
+		check(id)
+		c.SetSMEnabled(id, true)
+		r.sys.Run()
+		check(-1)
 	}
 }
 
@@ -295,11 +312,11 @@ func TestInvalidatePageShootsDownTLBs(t *testing.T) {
 	k := simpleKernel(1, 256, 16, 4, 128)
 	mapAll(r, k)
 	c.Launch(k, func() {})
-	r.run()
+	r.sys.Run()
 	// After the run some page is cached in the TLBs; evict it everywhere.
 	page := uint64(0x1_0000_0000) / r.cfg.UVM.PageBytes
 	c.InvalidatePage(page)
-	r.run() // deliver the shootdown broadcast to the shards
+	r.sys.Run() // deliver the shootdown broadcast to the shards
 	for _, sh := range c.shards {
 		for _, sm := range sh.sms {
 			if sm.l1tlb.Invalidate(page) {
@@ -337,7 +354,7 @@ func TestMultiPageAccessFaultsOnAllPages(t *testing.T) {
 	})
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete")
 	}
@@ -358,7 +375,7 @@ func TestSwitchCooldownLimitsRate(t *testing.T) {
 	c.SetOversubscription(1)
 	done := false
 	c.Launch(k, func() { done = true })
-	total := r.run()
+	total := r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete")
 	}
@@ -387,7 +404,7 @@ func TestOversubscriptionDegreeZeroAfterReduce(t *testing.T) {
 	k := simpleKernel(2, 1024, 16, 3, 64<<10)
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete with degree clamped to 0")
 	}
@@ -404,7 +421,7 @@ func TestDRAMContentionSlowsMemoryBoundKernels(t *testing.T) {
 		k := simpleKernel(16, 1024, 16, 30, 4096)
 		mapAll(r, k)
 		c.Launch(k, func() {})
-		return r.run()
+		return r.sys.Run()
 	}
 	uncontended := run(0)
 	contended := run(8) // 8 B/cycle: a 128B line occupies 16 cycles
@@ -435,7 +452,7 @@ func TestIssueBandwidthSerializesBursts(t *testing.T) {
 		k := simpleKernel(1, 1024, 16, 30, 128)
 		mapAll(r, k)
 		c.Launch(k, func() {})
-		return r.run()
+		return r.sys.Run()
 	}
 	free := run(0)
 	constrained := run(1) // 1 instr/cycle: 32 warps serialize their issues

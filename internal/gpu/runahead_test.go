@@ -46,12 +46,12 @@ func TestRunaheadRaisesSpeculativeFaults(t *testing.T) {
 		k := warpKernel("ra", accs)
 		c.Launch(k, func() {})
 		// Stop at the first fault service: what got raised by then?
-		r.runUntil(29999)
+		r.sys.RunUntil(29999)
 		raised := make(map[uint64]int, len(sink.faults))
 		for p, n := range sink.faults {
 			raised[p] = n
 		}
-		r.run()
+		r.sys.Run()
 		return raised, r.stats.RunaheadFaults
 	}
 
@@ -88,7 +88,7 @@ func TestRunaheadSkipsResidentPages(t *testing.T) {
 	})
 	done := false
 	c.Launch(k, func() { done = true })
-	r.run()
+	r.sys.Run()
 	if !done {
 		t.Fatal("kernel did not complete")
 	}

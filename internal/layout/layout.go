@@ -81,9 +81,6 @@ func (s *Space) FootprintPages() int {
 	return int(s.FootprintBytes() / s.pageBytes)
 }
 
-// PageOf returns the page number containing addr.
-func (s *Space) PageOf(addr uint64) uint64 { return addr / s.pageBytes }
-
 // Contains reports whether addr falls inside some allocation (including
 // its page-rounding tail, which demand paging also migrates).
 func (s *Space) Contains(addr uint64) bool {

@@ -211,9 +211,6 @@ func (h *Histogram) Add(v float64) {
 	h.total++
 }
 
-// Total returns the number of samples.
-func (h *Histogram) Total() int { return h.total }
-
 // Fractions returns each bucket's share of the samples.
 func (h *Histogram) Fractions() []float64 {
 	out := make([]float64, len(h.Counts))

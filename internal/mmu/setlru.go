@@ -90,10 +90,6 @@ func NewSetLRU(nSets, ways int) *SetLRU {
 	return c
 }
 
-// Sets and Ways return the configured shape.
-func (c *SetLRU) Sets() int { return c.nSets }
-func (c *SetLRU) Ways() int { return c.ways }
-
 // Len returns the number of live entries.
 func (c *SetLRU) Len() int { return c.n }
 

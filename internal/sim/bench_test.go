@@ -46,25 +46,27 @@ func trafficDelays(n int) []Cycle {
 	return d
 }
 
+// trafficHop is the delay at or past which an actor hops between its
+// home shard and the hub: the default configuration's shortest
+// shard<->hub latency.
+const trafficHop = 20
+
 // trafficActors keeps 32 actors scheduled on sys: each reschedules itself
 // on dispatch with the next near delay of the mix. A far delay becomes a
 // one-shot timer on the actor's current domain instead, so far events
 // build up in the heap without draining the standing queue of 32. An
-// actor whose delay is at least the lookahead hops between its home shard
-// and the hub (the last domain) through SendArg; a shorter one stays on
-// its domain. With one domain, every delay stays put.
+// actor whose delay is at least trafficHop hops between its home shard
+// and the hub (the last domain); a shorter one stays on its domain. Every
+// event is scheduled from the engine of the domain it runs on. With one
+// domain, every delay stays put.
 func trafficActors(sys *System) {
 	delays := trafficDelays(1 << 12)
 	hub := sys.Domains() - 1
-	la := sys.Lookahead()
-	if hub == 0 {
-		la = ^Cycle(0)
-	}
 	i := 0
 	timer := func(uint64) {}
 	var act func(a uint64) // a = home shard << 1 | at hub
 	act = func(a uint64) {
-		home, at := int(a>>1), int(a>>1)
+		at := int(a >> 1)
 		if a&1 != 0 {
 			at = hub
 		}
@@ -75,14 +77,10 @@ func trafficActors(sys *System) {
 			e.ScheduleArg(e.Now()+d, timer, 0)
 			d = delays[i&(len(delays)-1)]
 		}
-		switch {
-		case d < la:
-			sys.SendArg(at, at, e.Now()+d, act, a)
-		case a&1 == 0:
-			sys.SendArg(at, hub, e.Now()+d, act, a|1)
-		default:
-			sys.SendArg(hub, home, e.Now()+d, act, a&^1)
+		if hub > 0 && d >= trafficHop {
+			a ^= 1
 		}
+		e.ScheduleArg(e.Now()+d, act, a)
 	}
 	for a := 0; a < 32; a++ {
 		act(uint64(a%max(hub, 1)) << 1)
@@ -92,28 +90,25 @@ func trafficActors(sys *System) {
 // BenchmarkEngineTrafficMix dispatches one engine's events under the
 // measured traffic: a standing queue of 32, delays from trafficDelays.
 func BenchmarkEngineTrafficMix(b *testing.B) {
-	sys := NewSystem(1, 1)
+	sys := NewSystem(1)
 	trafficActors(sys)
-	e := sys.Engine(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		sys.Step()
 	}
 }
 
-// BenchmarkSystemTrafficMix is the cross-domain variant: 5 domains (4
-// shards and the hub) at the default configuration's lookahead of 20
-// cycles, so about a third of the actors' hops are SendArg deliveries to
-// another domain, run through System.RunUntil's windows. An op is one
-// dispatched event.
+// BenchmarkSystemTrafficMix is the multi-domain variant: 5 domains (4
+// shards and the hub) on one queue, where about a third of the actors'
+// reschedules hop to another domain. An op is one dispatched event.
 func BenchmarkSystemTrafficMix(b *testing.B) {
-	sys := NewSystem(5, 20)
+	sys := NewSystem(5)
 	trafficActors(sys)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for sys.Dispatched() < uint64(b.N) {
-		sys.RunUntil(sys.Now() + 1024)
+	for i := 0; i < b.N; i++ {
+		sys.Step()
 	}
 }
 

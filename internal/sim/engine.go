@@ -3,14 +3,14 @@
 //
 // Time is measured in cycles of the GPU core clock (1 GHz in the default
 // configuration, so one cycle is one nanosecond). Components interact by
-// scheduling callbacks on a shared Engine; the engine dispatches events in
-// nondecreasing cycle order and, for equal cycles, in ascending event-key
-// order. Keys combine the scheduling domain's rank with a per-source
-// sequence number, so the tie order is (cycle, source domain, send order)
-// — a pure function of what was scheduled, independent of when the events
-// were inserted into the queue. That independence is what lets the
-// multi-domain System (system.go) run its domains in windows of any
-// placement and still produce byte-identical simulations.
+// scheduling callbacks on an Engine, a domain's handle on one event queue;
+// the queue dispatches events in nondecreasing cycle order and, for equal
+// cycles, in ascending event-key order. Keys combine the scheduling
+// domain's rank with that domain's sequence number, so the tie order is
+// (cycle, source domain, schedule order) — a pure function of what was
+// scheduled, independent of how the queue stores it. NewEngine returns a
+// one-domain queue; a System (system.go) gives several domains their
+// handles on one queue.
 package sim
 
 import (
@@ -55,11 +55,10 @@ func (e *event) before(o *event) bool {
 	return e.key < o.key
 }
 
-// The near-future ring: one bucket per cycle of [now, now+ringSize).
+// The near-future ring covers the cycles [now, now+ringSize).
 const (
-	ringSize  = 256
-	ringMask  = ringSize - 1
-	ringWords = ringSize / 64
+	ringSize = 256
+	ringMask = ringSize - 1
 )
 
 // node is one ring slot: an event without its cycle, which its bucket
@@ -73,169 +72,150 @@ type node struct {
 	next  int32
 }
 
-// Engine is a discrete-event simulation engine. The zero value is not ready
-// to use; call NewEngine.
-//
-// The queue is a calendar queue in two parts. Events due in fewer than
-// ringSize cycles go into a ring of per-cycle buckets: bucket when&ringMask
-// is a singly linked FIFO, kept in key order, threaded through one node
-// array whose popped nodes return to a free list, so scheduling allocates
-// nothing in steady state. Every ring event lies in [now, now+ringSize),
-// so each bucket holds a single cycle, and an occupancy bitmap scanned
-// from now&ringMask finds the earliest one. Events due later go into a
-// value-based 4-ary min-heap and stay there until dispatched. Step pops
-// whichever of the ring's front and the heap's top comes first under
-// before, so the dispatch order is the (when, key) order whatever part
-// holds an event.
-type Engine struct {
-	now      Cycle
-	seq      uint64
-	rankBase uint64 // rank << rankShift, ORed into self-scheduled keys
-	nEvent   uint64 // total events dispatched
+// bucket is one (cycle, rank) list of ring nodes, head first.
+type bucket struct{ head, tail int32 }
 
-	nodes      []node // ring nodes, in use or on the free list
-	free       int32  // free-list head, -1 when empty
-	nRing      int    // events in the ring
-	occ        [ringWords]uint64
-	head, tail [ringSize]int32 // valid only where occ is set
+// queue is the event queue that every domain of one System schedules
+// into: a calendar queue in two parts. Events due in fewer than ringSize
+// cycles go into a ring with one bucket per (cycle, rank): a cycle's
+// slots, one per rank padded to a power of two, lie side by side, and
+// bucket (when&ringMask)<<shift | rank is a singly linked FIFO threaded
+// through one node array whose popped nodes return to a free list, so
+// scheduling allocates nothing in steady state. A rank's keys only rise,
+// so every push appends and each bucket is in key order. Every ring event
+// lies in [now, now+ringSize), so each bucket holds a single cycle, and
+// an occupancy bitmap scanned from now's first slot finds the earliest
+// bucket in (cycle, rank) order — the (when, key) order. Events due later
+// go into a value-based 4-ary min-heap and stay there until dispatched.
+// Dispatch pops whichever of the ring's front and the heap's top comes
+// first under before, so the dispatch order is the (when, key) order
+// whatever part holds an event.
+type queue struct {
+	now    Cycle
+	nEvent uint64 // total events dispatched
+	shift  uint   // log2 of the ring's slots per cycle
+
+	nodes   []node   // ring nodes, in use or on the free list
+	free    int32    // free-list head, -1 when empty
+	nRing   int      // events in the ring
+	occ     []uint64 // one bit per bucket
+	buckets []bucket // valid only where occ is set
 
 	far []event // 4-ary min-heap ordered by event.before
 }
 
-// NewEngine returns an engine with the clock at cycle zero and rank 0.
-func NewEngine() *Engine {
-	return &Engine{free: -1}
+// newQueue returns an empty queue for ranks 0 to domains-1.
+func newQueue(domains int) *queue {
+	shift := uint(bits.Len(uint(domains - 1)))
+	n := ringSize << shift
+	return &queue{
+		shift:   shift,
+		free:    -1,
+		occ:     make([]uint64, n/64),
+		buckets: make([]bucket, n),
+	}
 }
 
-// SetRank fixes the engine's tie-break rank: events it schedules on itself
-// carry keys ordered after every lower-ranked source at the same cycle.
-// A standalone engine keeps rank 0 and behaves exactly like a FIFO
-// tie-break. Call once at wiring time, before any event is scheduled —
-// changing rank with events queued would reorder ties retroactively.
-func (e *Engine) SetRank(rank int) {
-	if e.Pending() != 0 || e.nEvent != 0 {
-		panic("sim: SetRank after events were scheduled")
-	}
-	e.rankBase = uint64(rank) << rankShift
+// Engine is one domain's handle on an event queue: the domain's tie-break
+// rank and its sequence counter. Events it schedules carry keys ordered
+// after every lower-ranked domain's at the same cycle. Every handle on a
+// queue shares its clock and its dispatch loop (Now, Step, Run, RunUntil).
+// The zero value is not ready to use; call NewEngine or System.Engine.
+type Engine struct {
+	*queue
+	rank uint64
+	seq  uint64
+}
+
+// NewEngine returns a one-domain queue with the clock at cycle zero: a
+// FIFO tie-break among events of one cycle.
+func NewEngine() *Engine {
+	return &Engine{queue: newQueue(1)}
 }
 
 // Now returns the current simulated cycle.
-func (e *Engine) Now() Cycle { return e.now }
+func (q *queue) Now() Cycle { return q.now }
 
-// Dispatched returns the total number of events dispatched so far.
-func (e *Engine) Dispatched() uint64 { return e.nEvent }
+// Dispatched returns the total number of events dispatched so far, from
+// every domain of the queue.
+func (q *queue) Dispatched() uint64 { return q.nEvent }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.nRing + len(e.far) }
-
-// nextKey advances the per-source sequence and returns the packed key.
-func (e *Engine) nextKey() uint64 {
-	e.seq++
-	if e.seq > maxSeq {
-		panic("sim: engine sequence overflow (2^48 events from one source)")
-	}
-	return e.rankBase | e.seq
-}
+func (q *queue) Pending() int { return q.nRing + len(q.far) }
 
 // Schedule runs fn at the given absolute cycle. Scheduling in the past
 // panics: it always indicates a modeling bug.
 func (e *Engine) Schedule(when Cycle, fn func()) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: schedule at cycle %d before now %d", when, e.now))
-	}
-	e.push(when, e.nextKey(), fn, nil, 0)
+	e.push(when, fn, nil, 0)
 }
 
 // After runs fn delay cycles from now.
 func (e *Engine) After(delay Cycle, fn func()) {
-	e.Schedule(e.now+delay, fn)
+	e.push(e.now+delay, fn, nil, 0)
 }
 
 // ScheduleArg runs argFn(arg) at the given absolute cycle. It is the
 // allocation-free way to deliver a small payload: argFn is typically a
 // method value bound once at construction, and arg rides in the event.
 func (e *Engine) ScheduleArg(when Cycle, argFn func(uint64), arg uint64) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: schedule at cycle %d before now %d", when, e.now))
-	}
-	e.push(when, e.nextKey(), nil, argFn, arg)
+	e.push(when, nil, argFn, arg)
 }
 
-// scheduleKeyed inserts an event carrying a caller-supplied key — a
-// cross-domain delivery whose tie order was fixed by the *sender's* rank
-// and send sequence. The receiving engine's own sequence is untouched.
-func (e *Engine) scheduleKeyed(when Cycle, key uint64, fn func(), argFn func(uint64), arg uint64) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: keyed schedule at cycle %d before now %d", when, e.now))
+// push queues an event due at or after now under the engine's next key:
+// at the tail of its (cycle, rank) bucket when the cycle lies within the
+// ring, else in the far heap.
+func (e *Engine) push(when Cycle, fn func(), argFn func(uint64), arg uint64) {
+	q := e.queue
+	if when < q.now {
+		panic(fmt.Sprintf("sim: schedule at cycle %d before now %d", when, q.now))
 	}
-	e.push(when, key, fn, argFn, arg)
-}
-
-// push queues an event due at or after now: in its cycle's bucket when
-// that lies within the ring, else in the far heap. An idle engine's clock
-// may lag, routing a near delivery to the heap; that costs speed, not
-// order.
-func (e *Engine) push(when Cycle, key uint64, fn func(), argFn func(uint64), arg uint64) {
-	if when-e.now >= ringSize {
-		e.far = append(e.far, event{when: when, key: key, fn: fn, argFn: argFn, arg: arg})
-		e.siftUp(len(e.far) - 1)
+	e.seq++
+	if e.seq > maxSeq {
+		panic("sim: engine sequence overflow (2^48 events from one source)")
+	}
+	key := e.rank<<rankShift | e.seq
+	if when-q.now >= ringSize {
+		q.far = append(q.far, event{when: when, key: key, fn: fn, argFn: argFn, arg: arg})
+		q.siftUp(len(q.far) - 1)
 		return
 	}
-	n := e.free
+	n := q.free
 	if n >= 0 {
-		e.free = e.nodes[n].next
+		q.free = q.nodes[n].next
 	} else {
-		n = int32(len(e.nodes))
-		e.nodes = append(e.nodes, node{})
+		n = int32(len(q.nodes))
+		q.nodes = append(q.nodes, node{})
 	}
-	nodes := e.nodes
-	nd := &nodes[n]
-	nd.key, nd.fn, nd.argFn, nd.arg = key, fn, argFn, arg
-	e.nRing++
-	b := when & ringMask
-	w, bit := b>>6, uint64(1)<<(b&63)
-	if e.occ[w]&bit == 0 {
-		e.occ[w] |= bit
-		nodes[n].next = -1
-		e.head[b], e.tail[b] = n, n
-		return
+	nd := &q.nodes[n]
+	nd.key, nd.fn, nd.argFn, nd.arg, nd.next = key, fn, argFn, arg, -1
+	q.nRing++
+	b := int(when&ringMask)<<q.shift | int(e.rank)
+	bk := &q.buckets[b]
+	if occ := &q.occ[b>>6]; *occ&(1<<(b&63)) == 0 {
+		*occ |= 1 << (b & 63)
+		bk.head = n
+	} else {
+		q.nodes[bk.tail].next = n
 	}
-	// Self-scheduled keys rise, so they append; only a cross-domain key
-	// arriving out of rank order within one cycle walks the bucket.
-	if t := e.tail[b]; nodes[t].key < key {
-		nodes[n].next = -1
-		nodes[t].next = n
-		e.tail[b] = n
-		return
-	}
-	p := e.head[b]
-	if key < nodes[p].key {
-		nodes[n].next = p
-		e.head[b] = n
-		return
-	}
-	for nodes[nodes[p].next].key < key { // the tail's key is larger: stops
-		p = nodes[p].next
-	}
-	nodes[n].next = nodes[p].next
-	nodes[p].next = n
+	bk.tail = n
 }
 
 // ringFront returns the bucket of the ring's earliest event, or -1 when
-// the ring is empty. The scan starts at now's bucket and wraps: the
+// the ring is empty. The scan starts at now's first slot and wraps: the
 // buckets below it in its own word hold the ring's latest cycles.
-func (e *Engine) ringFront() int {
-	if e.nRing == 0 {
+func (q *queue) ringFront() int {
+	if q.nRing == 0 {
 		return -1
 	}
-	s := int(e.now & ringMask)
+	s := int(q.now&ringMask) << q.shift
 	w := s >> 6
-	if m := e.occ[w] >> (s & 63); m != 0 {
+	if m := q.occ[w] >> (s & 63); m != 0 {
 		return s + bits.TrailingZeros64(m)
 	}
-	for i := 1; i <= ringWords; i++ {
-		ww := (w + i) & (ringWords - 1)
-		if m := e.occ[ww]; m != 0 {
+	words := len(q.occ)
+	for i := 1; i <= words; i++ {
+		ww := (w + i) & (words - 1)
+		if m := q.occ[ww]; m != 0 {
 			return ww<<6 + bits.TrailingZeros64(m)
 		}
 	}
@@ -246,17 +226,17 @@ func (e *Engine) ringFront() int {
 // heap's top, and its cycle. ok is false when the queue is empty. A
 // bucket's cycle follows from its distance to now's, so only a tie with
 // the heap's top reads a node.
-func (e *Engine) next() (b int, when Cycle, ok bool) {
-	b = e.ringFront()
+func (q *queue) next() (b int, when Cycle, ok bool) {
+	b = q.ringFront()
 	if b < 0 {
-		if len(e.far) == 0 {
+		if len(q.far) == 0 {
 			return 0, 0, false
 		}
-		return -1, e.far[0].when, true
+		return -1, q.far[0].when, true
 	}
-	when = e.now + Cycle((b-int(e.now&ringMask))&ringMask)
-	if len(e.far) > 0 {
-		if f := &e.far[0]; f.when < when || f.when == when && f.key < e.nodes[e.head[b]].key {
+	when = q.now + Cycle((b>>q.shift-int(q.now&ringMask))&ringMask)
+	if len(q.far) > 0 {
+		if f := &q.far[0]; f.when < when || f.when == when && f.key < q.nodes[q.buckets[b].head].key {
 			return -1, f.when, true
 		}
 	}
@@ -265,30 +245,30 @@ func (e *Engine) next() (b int, when Cycle, ok bool) {
 
 // NextTime returns the cycle of the earliest pending event. ok is false
 // when the queue is empty.
-func (e *Engine) NextTime() (when Cycle, ok bool) {
-	_, when, ok = e.next()
+func (q *queue) NextTime() (when Cycle, ok bool) {
+	_, when, ok = q.next()
 	return when, ok
 }
 
 // siftUp restores the heap property from leaf i toward the root.
-func (e *Engine) siftUp(i int) {
-	q := e.far
-	ev := q[i]
+func (q *queue) siftUp(i int) {
+	h := q.far
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.before(&q[parent]) {
+		if !ev.before(&h[parent]) {
 			break
 		}
-		q[i] = q[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	q[i] = ev
+	h[i] = ev
 }
 
 // siftDown restores the heap property from the root over n elements.
-func (e *Engine) siftDown(n int) {
-	q := e.far
-	ev := q[0]
+func (q *queue) siftDown(n int) {
+	h := q.far
+	ev := h[0]
 	i := 0
 	for {
 		first := 4*i + 1
@@ -301,53 +281,54 @@ func (e *Engine) siftDown(n int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if q[c].before(&q[best]) {
+			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !q[best].before(&ev) {
+		if !h[best].before(&ev) {
 			break
 		}
-		q[i] = q[best]
+		h[i] = h[best]
 		i = best
 	}
-	q[i] = ev
+	h[i] = ev
 }
 
 // dispatch pops the earliest event, found by next in bucket b (-1: the
 // far heap) at cycle when, advances the clock to it and runs the event.
-func (e *Engine) dispatch(b int, when Cycle) {
+func (q *queue) dispatch(b int, when Cycle) {
 	var (
 		fn    func()
 		argFn func(uint64)
 		arg   uint64
 	)
 	if b < 0 {
-		q := e.far
-		fn, argFn, arg = q[0].fn, q[0].argFn, q[0].arg
-		n := len(q) - 1
-		q[0] = q[n]
-		q[n].fn, q[n].argFn = nil, nil // release the closures; the slot stays pooled
-		e.far = q[:n]
+		h := q.far
+		fn, argFn, arg = h[0].fn, h[0].argFn, h[0].arg
+		n := len(h) - 1
+		h[0] = h[n]
+		h[n].fn, h[n].argFn = nil, nil // release the closures; the slot stays pooled
+		q.far = h[:n]
 		if n > 0 {
-			e.siftDown(n)
+			q.siftDown(n)
 		}
 	} else {
-		n := e.head[b]
-		nd := &e.nodes[n]
+		bk := &q.buckets[b]
+		n := bk.head
+		nd := &q.nodes[n]
 		fn, argFn, arg = nd.fn, nd.argFn, nd.arg
 		nd.fn, nd.argFn = nil, nil // release the closures
 		if nd.next < 0 {
-			e.occ[b>>6] &^= uint64(1) << (b & 63)
+			q.occ[b>>6] &^= uint64(1) << (b & 63)
 		} else {
-			e.head[b] = nd.next
+			bk.head = nd.next
 		}
-		nd.next = e.free
-		e.free = n
-		e.nRing--
+		nd.next = q.free
+		q.free = n
+		q.nRing--
 	}
-	e.now = when
-	e.nEvent++
+	q.now = when
+	q.nEvent++
 	if fn != nil {
 		fn()
 	} else {
@@ -357,34 +338,34 @@ func (e *Engine) dispatch(b int, when Cycle) {
 
 // Step dispatches the next event, advancing the clock to its cycle.
 // It reports whether an event was dispatched.
-func (e *Engine) Step() bool {
-	b, when, ok := e.next()
+func (q *queue) Step() bool {
+	b, when, ok := q.next()
 	if ok {
-		e.dispatch(b, when)
+		q.dispatch(b, when)
 	}
 	return ok
 }
 
 // Run dispatches events until the queue is empty and returns the final
 // cycle.
-func (e *Engine) Run() Cycle {
-	for e.Step() {
+func (q *queue) Run() Cycle {
+	for q.Step() {
 	}
-	return e.now
+	return q.now
 }
 
 // RunUntil dispatches events until the queue is empty or the clock would
 // pass the limit. Events scheduled exactly at the limit are dispatched. It
 // reports whether the queue was drained.
-func (e *Engine) RunUntil(limit Cycle) bool {
+func (q *queue) RunUntil(limit Cycle) bool {
 	for {
-		b, when, ok := e.next()
+		b, when, ok := q.next()
 		if !ok {
 			return true
 		}
 		if when > limit {
 			return false
 		}
-		e.dispatch(b, when)
+		q.dispatch(b, when)
 	}
 }

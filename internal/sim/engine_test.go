@@ -117,7 +117,7 @@ func TestEngineRunUntil(t *testing.T) {
 // queue must preserve for experiment output to stay byte-identical: any
 // queue that pops the strict (when, seq) minimum dispatches exactly this
 // sequence. Its delays stay inside the ring; TestEngineOrderOracle covers
-// the far heap, the ring's edges and cross-domain keys.
+// the far heap, the ring's edges and several domains' keys.
 func TestEngineExactOrderVsSortedReference(t *testing.T) {
 	rng := NewRand(7)
 	for trial := 0; trial < 50; trial++ {
@@ -249,29 +249,15 @@ func TestEngineRunUntilExactlyAtLimit(t *testing.T) {
 	}
 }
 
-// TestEngineMisusePanics: SetRank once any event is queued, in the ring
-// or in the far heap, or has been dispatched; a keyed schedule in the
-// past; and a source's sequence overflow.
+// TestEngineMisusePanics: a source's sequence must not wrap into its rank
+// bits.
 func TestEngineMisusePanics(t *testing.T) {
-	panics := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	ring := NewEngine()
-	ring.Schedule(255, func() {})
-	panics("SetRank with a ring event queued", func() { ring.SetRank(1) })
-	far := NewEngine()
-	far.Schedule(256, func() {})
-	panics("SetRank with a far event queued", func() { far.SetRank(1) })
-	far.Run()
-	panics("SetRank after a dispatch", func() { far.SetRank(1) })
-	panics("keyed schedule in the past", func() { far.scheduleKeyed(255, 1<<rankShift|1, func() {}, nil, 0) })
-	full := NewEngine()
-	full.seq = maxSeq
-	panics("sequence overflow", func() { full.After(1, func() {}) })
+	e := NewEngine()
+	e.seq = maxSeq
+	defer func() {
+		if recover() == nil {
+			t.Error("sequence overflow did not panic")
+		}
+	}()
+	e.After(1, func() {})
 }

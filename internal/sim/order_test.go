@@ -2,9 +2,9 @@ package sim
 
 import "testing"
 
-// orderRank is the engine's own rank in the order oracle: keyed inserts
-// come from ranks on both sides of it, so its self-scheduled events sort
-// between cross-domain ones at the same cycle.
+// orderRank is the oracle's own domain in an 8-domain system: the other
+// domains' events come from ranks on both sides of it, so its
+// self-scheduled events sort between theirs at the same cycle.
 const orderRank = 3
 
 // oracleEvent is one pending event as the reference queue sees it.
@@ -15,23 +15,24 @@ type oracleEvent struct {
 	child Cycle // >0: on dispatch, self-schedule one more event child-1 cycles ahead
 }
 
-// orderOracle drives an Engine and a reference queue that shares no code
-// with it: a slice of pending (when, key) pairs searched linearly for its
-// minimum. Every dispatch must be the reference minimum, and Pending,
-// NextTime and Now must agree with the reference after every step.
+// orderOracle drives the shared queue of an 8-domain System and a
+// reference queue that shares no code with it: a slice of pending
+// (when, key) pairs searched linearly for its minimum. Every dispatch must
+// be the reference minimum, and Pending, NextTime and Now must agree with
+// the reference after every step.
 type orderOracle struct {
 	tb      testing.TB
-	e       *Engine
-	seq     [8]uint64 // per-rank send sequence; seq[orderRank] mirrors the engine's
+	sys     *System
+	e       *Engine   // domain orderRank's engine
+	seq     [8]uint64 // per-rank sequence, mirroring each domain's engine
 	pending []oracleEvent
 	ids     int
 	fired   uint64
 }
 
 func newOrderOracle(tb testing.TB) *orderOracle {
-	o := &orderOracle{tb: tb, e: NewEngine()}
-	o.e.SetRank(orderRank)
-	return o
+	sys := NewSystem(8)
+	return &orderOracle{tb: tb, sys: sys, e: sys.Engine(orderRank)}
 }
 
 // oracleDelay maps a class byte and a value onto the delays the oracle covers:
@@ -62,7 +63,7 @@ func (o *orderOracle) add(when Cycle, key uint64, child Cycle) int {
 	return id
 }
 
-// self schedules on the engine's own key sequence, through Schedule or
+// self schedules on domain orderRank's engine, through Schedule or
 // ScheduleArg.
 func (o *orderOracle) self(when Cycle, child Cycle, arg bool) {
 	o.seq[orderRank]++
@@ -74,15 +75,15 @@ func (o *orderOracle) self(when Cycle, child Cycle, arg bool) {
 	}
 }
 
-// keyed inserts a cross-domain delivery from rank r (never orderRank).
-func (o *orderOracle) keyed(when Cycle, r int) {
+// other schedules an event from domain r (never orderRank) through that
+// domain's engine.
+func (o *orderOracle) other(when Cycle, r int) {
 	o.seq[r]++
-	key := uint64(r)<<rankShift | o.seq[r]
-	id := o.add(when, key, 0)
-	o.e.scheduleKeyed(when, key, nil, o.fire, uint64(id))
+	id := o.add(when, uint64(r)<<rankShift|o.seq[r], 0)
+	o.sys.Engine(r).ScheduleArg(when, o.fire, uint64(id))
 }
 
-// otherRank picks a rank below or above the engine's own.
+// otherRank picks a rank below or above orderRank.
 func otherRank(v byte) int {
 	r := int(v % 7)
 	if r >= orderRank {
@@ -103,7 +104,7 @@ func (o *orderOracle) min() int {
 	return best
 }
 
-// check compares the engine's queue summary with the reference.
+// check compares the queue's summary with the reference.
 func (o *orderOracle) check(where string) {
 	o.tb.Helper()
 	if got := o.e.Pending(); got != len(o.pending) {
@@ -146,7 +147,7 @@ func (o *orderOracle) fire(id uint64) {
 	}
 }
 
-// runOrderOps decodes ops into schedules, keyed inserts, steps and
+// runOrderOps decodes ops into schedules from several domains, steps and
 // bounded runs, checks each against the reference, and drains the queue.
 // Bytes past the end read as zero, so any input is a valid program.
 func runOrderOps(tb testing.TB, ops []byte) {
@@ -172,15 +173,15 @@ func runOrderOps(tb testing.TB, ops []byte) {
 		case 2: // self-scheduled, spawning a child on dispatch
 			c, cc := take(), take()
 			o.self(now+oracleDelay(c, value()), 1+oracleDelay(cc, uint64(take())), false)
-		case 3: // one keyed insert from a lower or higher rank
+		case 3: // one event from a lower or higher rank
 			c, r := take(), take()
-			o.keyed(now+oracleDelay(c, value()), otherRank(r))
-		case 4: // a burst at one cycle: keyed inserts out of rank order, and a self event
+			o.other(now+oracleDelay(c, value()), otherRank(r))
+		case 4: // a burst at one cycle: other ranks' events out of rank order, and a self event
 			c := take()
 			when := now + oracleDelay(c, value())
 			n := 2 + int(take()%4)
 			for i := 0; i < n; i++ {
-				o.keyed(when, otherRank(take()))
+				o.other(when, otherRank(take()))
 			}
 			o.self(when, 0, true)
 		case 5: // tie with a pending event: ring against ring, or far against ring
@@ -191,7 +192,7 @@ func runOrderOps(tb testing.TB, ops []byte) {
 			if r := take(); r%2 == 0 {
 				o.self(p.when, 0, false)
 			} else {
-				o.keyed(p.when, otherRank(r/2))
+				o.other(p.when, otherRank(r/2))
 			}
 		case 6: // Step
 			want := len(o.pending) > 0
@@ -222,10 +223,10 @@ func runOrderOps(tb testing.TB, ops []byte) {
 
 // TestEngineOrderOracle runs random programs over every part of the queue
 // — delays inside, across and past the ring, far events tied with ring
-// events, cross-domain keys from lower and higher ranks arriving out of
-// key order within one cycle, and RunUntil limits that stop inside the
-// ring — against the sorted reference, checking Pending and NextTime
-// after every step.
+// events, events from lower and higher ranks queued out of key order
+// within one cycle, and RunUntil limits that stop inside the ring —
+// against the sorted reference, checking Pending and NextTime after every
+// step.
 func TestEngineOrderOracle(t *testing.T) {
 	rng := NewRand(11)
 	for trial := 0; trial < 200; trial++ {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRandDeterministic(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
@@ -60,27 +57,6 @@ func TestRandFloat64Range(t *testing.T) {
 	mean := sum / n
 	if mean < 0.49 || mean > 0.51 {
 		t.Fatalf("Float64 mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRand(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
